@@ -1,8 +1,16 @@
 """Exact canonical forms and isomorphism testing for graphs up to 12 vertices.
 
-The canonical key of a graph is the lexicographically smallest upper-triangle
-bit string (column-major, matching graph6 bit order) over all vertex
-relabellings, prefixed by n. Equal keys hold exactly for isomorphic graphs.
+The canonical key of a graph is n followed by the upper-triangle bits
+(column-major, matching graph6 bit order) of one relabelling: the one whose
+column tuple (column j being the bitmask of the neighbours of position j
+among positions < j) is smallest among the leaves of the search tree
+described below. It is not, in general, the smallest over all n!
+relabellings (it differs on 144 of the 156 graphs of order 6), because most
+relabellings are not leaves of that tree. The tree is built from
+labelling-independent refinement steps, so its set of leaves, and hence the
+key, is an isomorphism invariant: equal keys hold exactly for isomorphic
+graphs. The key bytes depend on `_refine` (which cell comes first), so
+changing the refinement changes the keys, though not which graphs share one.
 
 The search never considers all n! permutations: vertices are first partitioned
 by iterated degree refinement, the branch tree individualizes one vertex of

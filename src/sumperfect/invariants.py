@@ -68,10 +68,6 @@ def _comp_rows(n: int, adj: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(full ^ a ^ (1 << v) for v, a in enumerate(adj))
 
 
-def _alpha_in(g: Graph, sub: int) -> int:
-    return _clique_bb(g.n, _comp_rows(g.n, g.adj), sub)[0]
-
-
 def stability_number(g: Graph) -> int:
     """alpha: the maximum size of a stable set."""
     return _clique_bb(g.n, _comp_rows(g.n, g.adj), g.vertex_mask())[0]
@@ -214,8 +210,16 @@ def deficit(g: Graph) -> int:
     return g.n - stability_number(g) - clique_number(g)
 
 
-def _deficiency_engine(g: Graph, stop: int | None) -> tuple[int, int | None]:
-    """Max of |S| - alpha(S) - omega(S) over non-empty induced subgraphs.
+# Bounds that the subset DP compares |S| against, indexed [alpha(S)][omega(S)].
+_SUM_BOUND = [[a + w for w in range(DEFICIENCY_MAX + 1)]
+              for a in range(DEFICIENCY_MAX + 1)]
+_PRODUCT_BOUND = [[a * w for w in range(DEFICIENCY_MAX + 1)]
+                  for a in range(DEFICIENCY_MAX + 1)]
+
+
+def _subset_dp(g: Graph, bound: list[list[int]],
+               stop: int | None) -> tuple[int, int | None]:
+    """Max of |S| - bound[alpha(S)][omega(S)] over non-empty induced subgraphs.
 
     Tabulates alpha and omega for every vertex subset bottom-up. When `stop`
     is given, returns as soon as some subset exceeds it, together with that
@@ -250,7 +254,7 @@ def _deficiency_engine(g: Graph, stop: int | None) -> tuple[int, int | None]:
         wt[s] = w
         p = pc[rest] + 1
         pc[s] = p
-        d = p - a - w
+        d = p - bound[a][w]
         if d > best:
             best = d
             best_mask = s
@@ -261,12 +265,12 @@ def _deficiency_engine(g: Graph, stop: int | None) -> tuple[int, int | None]:
 
 def max_deficiency(g: Graph) -> int:
     """Largest deficit over all non-empty induced subgraphs (0 for n = 0)."""
-    return _deficiency_engine(g, None)[0]
+    return _subset_dp(g, _SUM_BOUND, None)[0]
 
 
 def has_deficiency_above(g: Graph, c: int) -> bool:
     """True iff some induced subgraph has deficit > c (early-exit scan)."""
-    return _deficiency_engine(g, c)[0] > c
+    return _subset_dp(g, _SUM_BOUND, c)[0] > c
 
 
 def is_sum_perfect_definitional(g: Graph) -> bool:
@@ -276,42 +280,15 @@ def is_sum_perfect_definitional(g: Graph) -> bool:
 
 def find_deficient_subgraph(g: Graph) -> int | None:
     """A vertex mask with positive deficit, or None if g is sum-perfect."""
-    value, mask = _deficiency_engine(g, 0)
+    value, mask = _subset_dp(g, _SUM_BOUND, 0)
     return mask if value > 0 else None
 
 
 def is_perfect_lovasz(g: Graph) -> bool:
     """Every non-empty induced subgraph H satisfies alpha(H)*omega(H) >= |V(H)|."""
-    n = g.n
-    if n == 0:
-        return True
-    if n > LOVASZ_MAX:
-        raise ValueError(f"perfection scan supports n <= {LOVASZ_MAX}, got {n}")
-    adj = g.adj
-    cadj = _comp_rows(n, adj)
-    aclosed = [adj[v] | (1 << v) for v in range(n)]
-    wclosed = [cadj[v] | (1 << v) for v in range(n)]
-    size = 1 << n
-    at = [0] * size
-    wt = [0] * size
-    pc = [0] * size
-    for s in range(1, size):
-        b = s & -s
-        v = b.bit_length() - 1
-        rest = s ^ b
-        a1 = at[rest]
-        a2 = at[s & ~aclosed[v]] + 1
-        a = a1 if a1 >= a2 else a2
-        at[s] = a
-        w1 = wt[rest]
-        w2 = wt[s & ~wclosed[v]] + 1
-        w = w1 if w1 >= w2 else w2
-        wt[s] = w
-        p = pc[rest] + 1
-        pc[s] = p
-        if a * w < p:
-            return False
-    return True
+    if g.n > LOVASZ_MAX:
+        raise ValueError(f"perfection scan supports n <= {LOVASZ_MAX}, got {g.n}")
+    return _subset_dp(g, _PRODUCT_BOUND, 0)[0] <= 0
 
 
 # Witness records -------------------------------------------------------------

@@ -17,6 +17,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import groupby
 from typing import Callable, Iterable, Iterator
 
 from .canon import canonical_key
@@ -32,8 +33,8 @@ from .invariants import (
     stability_number,
 )
 
-_MEMO_MAX_ORDER = 7
 _DEFAULT_CHUNK = 512
+HC_MINE_MAX = 9
 
 
 # Class predicates ------------------------------------------------------------
@@ -66,27 +67,11 @@ def get_predicate(name: str) -> ClassPredicate:
 
 def is_minimal_forbidden(pred: ClassPredicate, g: Graph) -> bool:
     """True iff g fails the class but every one-vertex deletion satisfies it."""
-    return _minimal_forbidden(pred.fn, g, {})
+    return not pred.fn(g) and _deletions_satisfy(pred.fn, g)
 
 
-def _minimal_forbidden(fn, g: Graph, cache: dict[bytes, bool]) -> bool:
-    return not fn(g) and _deletions_satisfy(fn, g, cache)
-
-
-def _deletions_satisfy(fn, g: Graph, cache: dict[bytes, bool]) -> bool:
-    for v in range(g.n):
-        h = delete_vertex(g, v)
-        if h.n <= _MEMO_MAX_ORDER:
-            key = canonical_key(h)
-            verdict = cache.get(key)
-            if verdict is None:
-                verdict = fn(h)
-                cache[key] = verdict
-        else:
-            verdict = fn(h)
-        if not verdict:
-            return False
-    return True
+def _deletions_satisfy(fn, g: Graph) -> bool:
+    return all(fn(delete_vertex(g, v)) for v in range(g.n))
 
 
 # Conjecture machinery ---------------------------------------------------------
@@ -110,15 +95,12 @@ def _conjecture_visit(g: Graph) -> tuple[bool, str | None]:
 
 # Worker plumbing ---------------------------------------------------------------
 
-_WORKER_CACHES: dict[str, dict[bytes, bool]] = {}
-
-
-def _work(args):
+def _work(args) -> tuple[int, list[str], int]:
     """Chunk task: expand parents if asked, then evaluate each graph.
 
-    Returns (visited, payload) where payload depends on the task:
-      mine       -> list of certificate graph6 strings (in visit order)
-      conjecture -> (bscans, list of counterexample graph6 strings)
+    Returns (visited, lines, bscans): the number of graphs evaluated, the
+    graph6 lines found in visit order (certificates for mine, counterexamples
+    for conjecture) and the number of B-scans run (always 0 for mine).
     """
     task, pred_name, mode, graphs = args
     if mode == "expand":
@@ -126,11 +108,10 @@ def _work(args):
         for parent in graphs:
             expanded.extend(children_of(parent))
         graphs = expanded
-    visited = len(graphs)
+    lines: list[str] = []
+    bscans = 0
     if task == "mine":
         fn = get_predicate(pred_name).fn
-        cache = _WORKER_CACHES.setdefault(pred_name, {})
-        certs = []
         sampled = False
         for i, g in enumerate(graphs):
             if fn(g):
@@ -142,21 +123,17 @@ def _work(args):
                             f"predicate {pred_name!r} is not hereditary"
                         )
                 continue
-            if _deletions_satisfy(fn, g, cache):
-                certs.append(emit_graph6(g))
-        payload = certs
+            if _deletions_satisfy(fn, g):
+                lines.append(emit_graph6(g))
     elif task == "conjecture":
-        bscans = 0
-        bad: list[str] = []
         for g in graphs:
             scanned, cex = _conjecture_visit(g)
             bscans += scanned
             if cex is not None:
-                bad.append(cex)
-        payload = (bscans, bad)
+                lines.append(cex)
     else:  # pragma: no cover
         raise ValueError(f"unknown task {task!r}")
-    return visited, payload
+    return len(graphs), lines, bscans
 
 
 def _chunked(items: list, size: int) -> list[list]:
@@ -177,12 +154,24 @@ def _map_tasks(tasks: list, jobs: int) -> Iterator:
 
 @dataclass
 class _Checkpoint:
+    """Cursor of a checkpointed final level: the sweep it belongs to, the
+    chunks done so far and their summed (visited, lines, bscans)."""
+
+    task: str
+    class_name: str
     level: int
-    next_chunk: int
     chunk_size: int
-    visited: int
-    stats: dict
+    next_chunk: int = 0
+    visited: int = 0
+    bscans: int = 0
     lines: list[str] = field(default_factory=list)
+
+    def add(self, result: tuple[int, list[str], int]) -> None:
+        visited, lines, bscans = result
+        self.next_chunk += 1
+        self.visited += visited
+        self.lines.extend(lines)
+        self.bscans += bscans
 
 
 def _load_checkpoint(path: str) -> _Checkpoint | None:
@@ -201,25 +190,17 @@ def _load_checkpoint(path: str) -> _Checkpoint | None:
                 lines.append(line)
     if cursor is None:
         return None
-    return _Checkpoint(
-        level=cursor["level"],
-        next_chunk=cursor["next_chunk"],
-        chunk_size=cursor["chunk_size"],
-        visited=cursor["visited"],
-        stats=cursor.get("stats", {}),
-        lines=lines,
-    )
+    try:
+        return _Checkpoint(**cursor, lines=lines)
+    except TypeError:
+        raise ValueError(
+            f"checkpoint {path!r} has an unrecognised cursor"
+        ) from None
 
 
 def _write_checkpoint(path: str, cp: _Checkpoint) -> None:
     tmp = path + ".tmp"
-    cursor = {
-        "level": cp.level,
-        "next_chunk": cp.next_chunk,
-        "chunk_size": cp.chunk_size,
-        "visited": cp.visited,
-        "stats": cp.stats,
-    }
+    cursor = {k: v for k, v in vars(cp).items() if k != "lines"}
     with open(tmp, "w", encoding="ascii") as fh:
         for line in cp.lines:
             fh.write(line + "\n")
@@ -249,64 +230,50 @@ def _sweep(task: str, pred_name: str, max_n: int, jobs: int,
            source: Iterable[Graph] | None):
     """Visit every graph of order 1..max_n (or an external stream) once.
 
-    Returns (visited_by_order, payloads) where payloads is the ordered list
-    of per-chunk task payloads.
+    Returns (visited_by_order, lines, bscans): the chunk results summed in
+    submission order, so lines keep the order in which graphs were visited.
     """
     visited_by_order: dict[int, int] = {}
-    payloads: list = []
+    lines: list[str] = []
+    bscans = 0
+
+    def add(n: int, result: tuple[int, list[str], int]) -> None:
+        nonlocal bscans
+        visited, found, scanned = result
+        visited_by_order[n] = visited_by_order.get(n, 0) + visited
+        lines.extend(found)
+        bscans += scanned
 
     if source is not None:
-        for chunk in _chunked(list(source), chunk_size):
-            for g in chunk:
-                visited_by_order[g.n] = visited_by_order.get(g.n, 0) + 1
-            v, payload = _work((task, pred_name, "flat", chunk))
-            payloads.append(payload)
-        return visited_by_order, payloads
+        for n, run in groupby(source, key=lambda g: g.n):
+            for chunk in _chunked(list(run), chunk_size):
+                add(n, _work((task, pred_name, "flat", chunk)))
+        return visited_by_order, lines, bscans
 
-    cp = _load_checkpoint(checkpoint) if checkpoint else None
-    if cp is not None and (cp.level != max_n or cp.chunk_size != chunk_size):
-        raise ValueError(
-            f"checkpoint {checkpoint!r} was written for level {cp.level} / "
-            f"chunk size {cp.chunk_size}, not level {max_n} / {chunk_size}"
-        )
+    cp = None
+    if checkpoint:
+        cp = _load_checkpoint(checkpoint)
+        want = (task, pred_name, max_n, chunk_size)
+        if cp is None:
+            cp = _Checkpoint(*want)
+        elif (cp.task, cp.class_name, cp.level, cp.chunk_size) != want:
+            raise ValueError(
+                f"checkpoint {checkpoint!r} was written for {cp.task} "
+                f"{cp.class_name} level {cp.level} / chunk size {cp.chunk_size}, "
+                f"not {task} {pred_name} level {max_n} / {chunk_size}"
+            )
 
     for n in range(1, max_n + 1):
-        final = n == max_n
         tasks = _level_tasks(task, pred_name, n, chunk_size)
-        if final and checkpoint:
-            if cp is None:
-                cp = _Checkpoint(
-                    level=max_n, next_chunk=0, chunk_size=chunk_size,
-                    visited=0, stats={}, lines=[],
-                )
-            skip = cp.next_chunk
-            pending = tasks[skip:]
-            visited_by_order[n] = visited_by_order.get(n, 0) + cp.visited
-            payloads.append(("resume", cp.stats, list(cp.lines)))
-            for result in _map_tasks(pending, jobs):
-                v, payload = result
-                visited_by_order[n] += v
-                payloads.append(payload)
-                cp.next_chunk += 1
-                cp.visited += v
-                _merge_checkpoint_payload(task, cp, payload)
+        if n == max_n and cp is not None:
+            for result in _map_tasks(tasks[cp.next_chunk:], jobs):
+                cp.add(result)
                 _write_checkpoint(checkpoint, cp)
+            add(n, (cp.visited, cp.lines, cp.bscans))
         else:
-            total = 0
-            for v, payload in _map_tasks(tasks, jobs):
-                total += v
-                payloads.append(payload)
-            visited_by_order[n] = total
-    return visited_by_order, payloads
-
-
-def _merge_checkpoint_payload(task: str, cp: _Checkpoint, payload) -> None:
-    if task == "mine":
-        cp.lines.extend(payload)
-    else:
-        bscans, bad = payload
-        cp.stats["bscans"] = cp.stats.get("bscans", 0) + bscans
-        cp.lines.extend(bad)
+            for result in _map_tasks(tasks, jobs):
+                add(n, result)
+    return visited_by_order, lines, bscans
 
 
 # Results ---------------------------------------------------------------------
@@ -344,18 +311,13 @@ def mine_forbidden(class_name: str, max_n: int, *, jobs: int = 1,
     """
     get_predicate(class_name)  # validate the name before sweeping
     start = time.monotonic()
-    visited_by_order, payloads = _sweep(
+    visited_by_order, lines, _ = _sweep(
         "mine", class_name, max_n, jobs, checkpoint, chunk_size, source
     )
     by_key: dict[bytes, Graph] = {}
-    for payload in payloads:
-        if isinstance(payload, tuple) and payload and payload[0] == "resume":
-            lines = payload[2]
-        else:
-            lines = payload
-        for line in lines:
-            g = parse_graph6(line)
-            by_key.setdefault(canonical_key(g), g)
+    for line in lines:
+        g = parse_graph6(line)
+        by_key.setdefault(canonical_key(g), g)
     certificates = sorted(by_key.items(), key=lambda kv: (kv[1].n, kv[0]))
     counts: dict[int, int] = {}
     for _, g in certificates:
@@ -390,19 +352,9 @@ def verify_conjecture(max_n: int, *, jobs: int = 1,
     """Check that every scanned graph avoiding all 24 six-vertex obstructions
     has alpha + omega >= n - 1; reports any counterexamples (expected none)."""
     start = time.monotonic()
-    visited_by_order, payloads = _sweep(
+    visited_by_order, bad, scanned = _sweep(
         "conjecture", "sum-perfect", max_n, jobs, checkpoint, chunk_size, source
     )
-    scanned = 0
-    bad: list[str] = []
-    for payload in payloads:
-        if isinstance(payload, tuple) and payload and payload[0] == "resume":
-            scanned += payload[1].get("bscans", 0)
-            bad.extend(payload[2])
-        else:
-            bscans, cex = payload
-            scanned += bscans
-            bad.extend(cex)
     return ConjectureReport(
         max_n=max_n,
         visited_by_order=visited_by_order,
@@ -483,6 +435,6 @@ def verify_threshold_equivalence(max_n: int = 7) -> ThresholdReport:
 
 def count_hc_forbidden(c: int, max_n: int, *, jobs: int = 1) -> int:
     """Number of minimal forbidden graphs for the deficiency-c class."""
-    if max_n > 9:
-        raise ValueError("deficiency mining supports max_n <= 9")
+    if max_n > HC_MINE_MAX:
+        raise ValueError(f"deficiency mining supports max_n <= {HC_MINE_MAX}")
     return mine_forbidden(f"deficiency:{c}", max_n, jobs=jobs).total

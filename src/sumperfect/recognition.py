@@ -15,6 +15,7 @@ from .family import build_family
 from .graphs import Graph, delete_vertex, mask_of, vertices_of
 from .induced import Embedding, PatternSet
 from .invariants import (
+    LOVASZ_MAX,
     StableCliquePair,
     has_deficiency_above,
     max_clique,
@@ -32,16 +33,9 @@ class ForbiddenCopy:
 
 
 @dataclass(frozen=True)
-class DeficientSubgraph:
-    """A vertex set inducing a subgraph with alpha + omega < |V|."""
-
-    vertices: int
-
-
-@dataclass(frozen=True)
 class Witness:
     verdict: bool
-    evidence: ForbiddenCopy | DeficientSubgraph | StableCliquePair
+    evidence: ForbiddenCopy | StableCliquePair
 
 
 @lru_cache(maxsize=1)
@@ -152,8 +146,8 @@ def check_threshold_theorem(g: Graph) -> bool:
     """
     if g.n == 0:
         return True
-    if g.n > 16:
-        raise ValueError(f"subgraph scan supports n <= 16, got {g.n}")
+    if g.n > LOVASZ_MAX:
+        raise ValueError(f"subgraph scan supports n <= {LOVASZ_MAX}, got {g.n}")
     return not has_deficiency_above(g, -1)
 
 
@@ -162,8 +156,6 @@ def witness_vertices(w: Witness) -> dict:
     ev = w.evidence
     if isinstance(ev, ForbiddenCopy):
         return {"kind": "forbidden_copy", "vertices": list(ev.embedding.mapping)}
-    if isinstance(ev, DeficientSubgraph):
-        return {"kind": "deficient_subgraph", "vertices": list(vertices_of(ev.vertices))}
     return {
         "kind": "stable_clique_pair",
         "stable": list(vertices_of(ev.stable)),

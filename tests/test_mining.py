@@ -139,6 +139,13 @@ def test_checkpoint_rejects_mismatched_params(tmp_path):
     mine_forbidden("sum-perfect", 5, checkpoint=path, chunk_size=8)
     with pytest.raises(ValueError):
         mine_forbidden("sum-perfect", 6, checkpoint=path, chunk_size=8)
+    # Same level and chunk size, but written for another class or task.
+    other = str(tmp_path / "threshold.ckpt")
+    mine_forbidden("threshold", 6, checkpoint=other)
+    with pytest.raises(ValueError):
+        mine_forbidden("sum-perfect", 6, checkpoint=other)
+    with pytest.raises(ValueError):
+        verify_conjecture(6, checkpoint=other)
 
 
 def test_verify_theorem27_small():

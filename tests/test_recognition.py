@@ -22,7 +22,6 @@ from sumperfect.invariants import (
     validate_pair,
 )
 from sumperfect.recognition import (
-    DeficientSubgraph,
     ForbiddenCopy,
     check_threshold_theorem,
     find_forbidden_copies,
@@ -169,13 +168,3 @@ def test_hereditary_spot_check(small_corpus):
             for v in range(g.n):
                 assert is_sum_perfect(delete_vertex(g, v))[0]
 
-
-def test_deficient_subgraph_witness_kind(c5):
-    from sumperfect.invariants import find_deficient_subgraph
-    from sumperfect.recognition import Witness, witness_vertices
-
-    mask = find_deficient_subgraph(c5)
-    w = Witness(False, DeficientSubgraph(mask))
-    view = witness_vertices(w)
-    assert view["kind"] == "deficient_subgraph"
-    assert view["vertices"] == [0, 1, 2, 3, 4]
