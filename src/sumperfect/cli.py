@@ -13,6 +13,7 @@ import os
 import sys
 from dataclasses import dataclass
 
+from .enumeration import ENUM_MAX
 from .family import build_conjecture_family, build_family
 from .graph6 import FormatError, emit_edge_list, emit_graph6, parse_edge_list, parse_graph6
 from .graphs import Graph
@@ -48,8 +49,10 @@ class ParsedInput:
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="ascii") as fh:
-        return fh.read()
+    # A non-ASCII byte decodes to U+FFFD, which neither parser accepts, so
+    # only its own line (or edge-list block) fails.
+    with open(path, "rb") as fh:
+        return fh.read().decode("ascii", errors="replace")
 
 
 def _parse_stream(text: str, fmt: str) -> ParsedInput:
@@ -331,7 +334,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _VERIFY_DEFAULT_MAX_N = {"theorem27": 8, "conjecture": 9, "threshold": 7}
-_VERIFY_ENVELOPE = {"theorem27": 9, "conjecture": 10, "threshold": 8}
+# max-n ranges; theorem27 needs order 7 to meet the two 7-vertex members.
+_VERIFY_ENVELOPE = {"theorem27": (7, 9), "conjecture": (1, ENUM_MAX), "threshold": (1, 8)}
+_MINE_ENVELOPE = (1, ENUM_MAX)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -343,15 +348,14 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "verify":
         if args.max_n is None:
             args.max_n = _VERIFY_DEFAULT_MAX_N[args.target]
-        if not 1 <= args.max_n <= _VERIFY_ENVELOPE[args.target]:
-            print(
-                f"error: verify {args.target} supports max-n in "
-                f"1..{_VERIFY_ENVELOPE[args.target]}",
-                file=sys.stderr,
-            )
+        if args.checkpoint and args.target != "conjecture":
+            print(f"error: verify {args.target} cannot checkpoint", file=sys.stderr)
             return EXIT_USAGE
-    if args.command == "mine" and not 1 <= args.max_n <= 10:
-        print("error: mine supports max-n in 1..10", file=sys.stderr)
+        name, (lo, hi) = f"verify {args.target}", _VERIFY_ENVELOPE[args.target]
+    elif args.command == "mine":
+        name, (lo, hi) = "mine", _MINE_ENVELOPE
+    if args.command in ("verify", "mine") and not lo <= args.max_n <= hi:
+        print(f"error: {name} supports max-n in {lo}..{hi}", file=sys.stderr)
         return EXIT_USAGE
     try:
         return args.fn(args)

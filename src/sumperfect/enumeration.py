@@ -153,19 +153,11 @@ def graphs_of_order(n: int) -> list[Graph]:
 
 
 def stream_graphs(n: int) -> Iterator[Graph]:
-    """Stream the order-n representatives without materializing the level.
-
-    For n = 10 the parent level (n = 9, ~275k graphs) is held in memory
-    while streaming.
-    """
+    """Stream the order-n representatives without materializing the level."""
     if not 0 <= n <= ENUM_MAX:
         raise ValueError(f"built-in enumeration supports n <= {ENUM_MAX}, got {n}")
     if n <= _CACHE_MAX:
         yield from graphs_of_order(n)
         return
-    if n - 1 <= _CACHE_MAX:
-        parents: Iterator[Graph] | list[Graph] = graphs_of_order(n - 1)
-    else:
-        parents = list(stream_graphs(n - 1))
-    for parent in parents:
+    for parent in stream_graphs(n - 1):
         yield from children_of(parent)

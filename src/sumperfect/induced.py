@@ -60,25 +60,6 @@ def _embedding_from_orders(
     return Embedding(tuple(mapping))
 
 
-def contains_induced(host: Graph, pattern: Graph) -> Embedding | None:
-    """First embedding of pattern into host in lexicographic subset order."""
-    k = pattern.n
-    if k > host.n:
-        return None
-    if k == 0:
-        return Embedding(())
-    pat_fp = fingerprint(pattern)
-    pat_order, pat_key = canonical_labeling(pattern)
-    for subset in combinations(range(host.n), k):
-        sub = induced_subgraph(host, subset)
-        if fingerprint(sub) != pat_fp:
-            continue
-        sub_order, sub_key = canonical_labeling(sub)
-        if sub_key == pat_key:
-            return _embedding_from_orders(subset, sub_order, pat_order)
-    return None
-
-
 @dataclass(frozen=True)
 class PatternHit:
     label: object
@@ -125,3 +106,9 @@ class PatternSet:
 
     def contains_any(self, host: Graph) -> bool:
         return self.find_first(host) is not None
+
+
+def contains_induced(host: Graph, pattern: Graph) -> Embedding | None:
+    """First embedding of pattern into host in lexicographic subset order."""
+    hit = PatternSet([(None, pattern)]).find_first(host)
+    return hit.embedding if hit is not None else None

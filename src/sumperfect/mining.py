@@ -5,8 +5,13 @@ to a target order and keeping the graphs that fail the predicate while all
 one-vertex deletions satisfy it (heredity makes single deletions sufficient).
 Sweeps can run across worker processes: parents are split into chunks, each
 worker expands and evaluates its chunk, and results are merged in submission
-order, so output is identical for every worker count. Long final levels can
-checkpoint per chunk into a plain file of graph6 lines plus a cursor line.
+order, so output is identical for every worker count. The final level can
+checkpoint into an append-only journal: a JSON header line naming the sweep
+(task, class, level = max_n, chunk size), then one JSON line
+[visited, lines, bscans] per completed chunk. A rerun adds the journaled
+results like fresh ones and runs only the chunks after them; a journal for
+another sweep, in the old graph6-plus-cursor format, or with a malformed
+line other than a torn last one is refused with ValueError.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import json
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
 from typing import Callable, Iterable, Iterator
@@ -95,45 +100,39 @@ def _conjecture_visit(g: Graph) -> tuple[bool, str | None]:
 
 # Worker plumbing ---------------------------------------------------------------
 
-def _work(args) -> tuple[int, list[str], int]:
-    """Chunk task: expand parents if asked, then evaluate each graph.
-
-    Returns (visited, lines, bscans): the number of graphs evaluated, the
-    graph6 lines found in visit order (certificates for mine, counterexamples
-    for conjecture) and the number of B-scans run (always 0 for mine).
-    """
-    task, pred_name, mode, graphs = args
-    if mode == "expand":
-        expanded: list[Graph] = []
-        for parent in graphs:
-            expanded.extend(children_of(parent))
-        graphs = expanded
+def _mine_chunk(class_name: str, graphs: list[Graph]) -> tuple[list[str], int]:
+    """Minimal forbidden graphs among graphs, with a sampled heredity check."""
+    fn = get_predicate(class_name).fn
     lines: list[str] = []
-    bscans = 0
-    if task == "mine":
-        fn = get_predicate(pred_name).fn
-        sampled = False
-        for i, g in enumerate(graphs):
-            if fn(g):
-                # sampled heredity check: members stay members under deletion
-                if g.n and (not sampled or (i & 127) == 0):
-                    sampled = True
-                    if not fn(delete_vertex(g, 0)):
-                        raise AssertionError(
-                            f"predicate {pred_name!r} is not hereditary"
-                        )
-                continue
-            if _deletions_satisfy(fn, g):
-                lines.append(emit_graph6(g))
-    elif task == "conjecture":
-        for g in graphs:
-            scanned, cex = _conjecture_visit(g)
-            bscans += scanned
-            if cex is not None:
-                lines.append(cex)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown task {task!r}")
-    return len(graphs), lines, bscans
+    sampled = False
+    for i, g in enumerate(graphs):
+        if fn(g):
+            # sampled heredity check: members stay members under deletion
+            if g.n and (not sampled or (i & 127) == 0):
+                sampled = True
+                if not fn(delete_vertex(g, 0)):
+                    raise AssertionError(f"predicate {class_name!r} is not hereditary")
+            continue
+        if _deletions_satisfy(fn, g):
+            lines.append(emit_graph6(g))
+    return lines, 0
+
+
+def _conjecture_chunk(class_name: str, graphs: list[Graph]) -> tuple[list[str], int]:
+    """Counterexamples among graphs and the B-scans run; class_name is unused."""
+    visits = [_conjecture_visit(g) for g in graphs]
+    return [cex for _, cex in visits if cex is not None], sum(s for s, _ in visits)
+
+
+def _work(task) -> tuple[int, list[str], int]:
+    """Run one chunk task: expand the parents if asked, then call its chunk
+    function (_mine_chunk or _conjecture_chunk, which return the graph6 lines
+    found in visit order and the B-scans run). Returns (visited, lines, bscans).
+    """
+    chunk, class_name, expand, graphs = task
+    if expand:
+        graphs = [child for parent in graphs for child in children_of(parent)]
+    return (len(graphs), *chunk(class_name, graphs))
 
 
 def _chunked(items: list, size: int) -> list[list]:
@@ -150,89 +149,103 @@ def _map_tasks(tasks: list, jobs: int) -> Iterator:
         yield from pool.imap(_work, tasks, chunksize=1)
 
 
-# Checkpointing -----------------------------------------------------------------
+# Checkpoint journal ------------------------------------------------------------
 
 @dataclass
 class _Checkpoint:
-    """Cursor of a checkpointed final level: the sweep it belongs to, the
-    chunks done so far and their summed (visited, lines, bscans)."""
+    """A checkpoint journal as read back: its header, the results of the
+    chunks it records, in order, and the byte length of its complete lines."""
 
-    task: str
-    class_name: str
-    level: int
-    chunk_size: int
-    next_chunk: int = 0
-    visited: int = 0
-    bscans: int = 0
-    lines: list[str] = field(default_factory=list)
+    header: dict
+    results: list[tuple[int, list[str], int]]
+    end: int
 
-    def add(self, result: tuple[int, list[str], int]) -> None:
-        visited, lines, bscans = result
-        self.next_chunk += 1
-        self.visited += visited
-        self.lines.extend(lines)
-        self.bscans += bscans
+    @property
+    def level(self) -> int:
+        return self.header["level"]
+
+    @property
+    def next_chunk(self) -> int:
+        return len(self.results)
+
+
+def _is_record(rec) -> bool:
+    return (isinstance(rec, list) and len(rec) == 3 and type(rec[0]) is type(rec[2]) is int
+            and isinstance(rec[1], list) and all(isinstance(x, str) for x in rec[1]))
 
 
 def _load_checkpoint(path: str) -> _Checkpoint | None:
-    if not path or not os.path.exists(path):
+    """Read a journal; None if the file is missing or empty. A last line
+    without its newline is a torn write: it is dropped, and end stops before
+    it so that appending cuts it off. Any other unreadable line is an error.
+    """
+    if not os.path.exists(path):
         return None
-    lines = []
-    cursor = None
-    with open(path, "r", encoding="ascii") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#cursor "):
-                cursor = json.loads(line[len("#cursor "):])
-            else:
-                lines.append(line)
-    if cursor is None:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data:
         return None
+    end = data.rfind(b"\n") + 1
+    rows = data[:end].splitlines()
     try:
-        return _Checkpoint(**cursor, lines=lines)
-    except TypeError:
+        header = json.loads(rows[0]) if rows else None
+        records = [json.loads(row) for row in rows[1:]]
+    except ValueError:
+        header = records = None
+    if not isinstance(header, dict) or not all(map(_is_record, records)):
         raise ValueError(
-            f"checkpoint {path!r} has an unrecognised cursor"
-        ) from None
+            f"checkpoint {path!r} is not a readable checkpoint journal; "
+            "delete it to start over"
+        )
+    return _Checkpoint(header, [tuple(rec) for rec in records], end)
 
 
-def _write_checkpoint(path: str, cp: _Checkpoint) -> None:
-    tmp = path + ".tmp"
-    cursor = {k: v for k, v in vars(cp).items() if k != "lines"}
-    with open(tmp, "w", encoding="ascii") as fh:
-        for line in cp.lines:
-            fh.write(line + "\n")
-        fh.write("#cursor " + json.dumps(cursor, sort_keys=True) + "\n")
-    os.replace(tmp, path)
+def _open_journal(path: str, header: dict) -> _Checkpoint:
+    """Load the journal at path for this sweep, or start one with its header."""
+    cp = _load_checkpoint(path)
+    if cp is None:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(json.dumps(header, sort_keys=True) + "\n")
+        return _Checkpoint(header, [], 0)
+    if cp.header != header:
+        raise ValueError(
+            f"checkpoint {path!r} was written for {json.dumps(cp.header, sort_keys=True)}, "
+            f"not {json.dumps(header, sort_keys=True)}"
+        )
+    with open(path, "r+b") as fh:
+        fh.truncate(cp.end)
+    return cp
 
 
 # Level sweeps -------------------------------------------------------------------
 
-def _level_tasks(task: str, pred_name: str, n: int, chunk_size: int) -> list[tuple]:
+def _level_tasks(chunk, class_name: str, n: int, chunk_size: int) -> list[tuple]:
     """Chunk tasks covering every graph of order n exactly once."""
     if n <= _CACHE_MAX:
-        chunks = _chunked(graphs_of_order(n), chunk_size)
-        mode = "flat"
-    else:
-        if n - 1 <= _CACHE_MAX:
-            parents = graphs_of_order(n - 1)
-        else:
-            parents = list(stream_graphs(n - 1))
-        chunks = _chunked(parents, max(1, chunk_size // 8))
-        mode = "expand"
-    return [(task, pred_name, mode, chunk) for chunk in chunks]
+        return [(chunk, class_name, False, c)
+                for c in _chunked(graphs_of_order(n), chunk_size)]
+    parents = list(stream_graphs(n - 1))
+    return [(chunk, class_name, True, c)
+            for c in _chunked(parents, max(1, chunk_size // 8))]
 
 
-def _sweep(task: str, pred_name: str, max_n: int, jobs: int,
+def _sweep(chunk, class_name: str, max_n: int, jobs: int,
            checkpoint: str | None, chunk_size: int,
            source: Iterable[Graph] | None):
-    """Visit every graph of order 1..max_n (or an external stream) once.
+    """Visit every graph of order 1..max_n (or of an external stream) once.
 
-    Returns (visited_by_order, lines, bscans): the chunk results summed in
-    submission order, so lines keep the order in which graphs were visited.
+    Each level, or run of equal order in the stream, is cut into chunk tasks
+    whose results, journaled ones first, go through add in submission order,
+    so lines keep visit order. Returns (visited_by_order, lines, bscans).
     """
+    if source is not None and checkpoint:
+        raise ValueError("a checkpoint resumes enumerated levels, not a source stream")
+    cp = None
+    if checkpoint:
+        header = {"task": chunk.__name__, "class": class_name,
+                  "level": max_n, "chunk_size": chunk_size}
+        cp = _open_journal(checkpoint, header)
+
     visited_by_order: dict[int, int] = {}
     lines: list[str] = []
     bscans = 0
@@ -245,34 +258,30 @@ def _sweep(task: str, pred_name: str, max_n: int, jobs: int,
         bscans += scanned
 
     if source is not None:
-        for n, run in groupby(source, key=lambda g: g.n):
-            for chunk in _chunked(list(run), chunk_size):
-                add(n, _work((task, pred_name, "flat", chunk)))
-        return visited_by_order, lines, bscans
-
-    cp = None
-    if checkpoint:
-        cp = _load_checkpoint(checkpoint)
-        want = (task, pred_name, max_n, chunk_size)
-        if cp is None:
-            cp = _Checkpoint(*want)
-        elif (cp.task, cp.class_name, cp.level, cp.chunk_size) != want:
+        levels = (
+            (n, [(chunk, class_name, False, c) for c in _chunked(list(run), chunk_size)])
+            for n, run in groupby(source, key=lambda g: g.n)
+        )
+    else:
+        levels = (
+            (n, _level_tasks(chunk, class_name, n, chunk_size))
+            for n in range(1, max_n + 1)
+        )
+    for n, tasks in levels:
+        journaled = cp is not None and n == max_n
+        done = cp.results if journaled else []
+        if len(done) > len(tasks):
             raise ValueError(
-                f"checkpoint {checkpoint!r} was written for {cp.task} "
-                f"{cp.class_name} level {cp.level} / chunk size {cp.chunk_size}, "
-                f"not {task} {pred_name} level {max_n} / {chunk_size}"
+                f"checkpoint {checkpoint!r} records {len(done)} chunks, "
+                f"but level {n} has only {len(tasks)}"
             )
-
-    for n in range(1, max_n + 1):
-        tasks = _level_tasks(task, pred_name, n, chunk_size)
-        if n == max_n and cp is not None:
-            for result in _map_tasks(tasks[cp.next_chunk:], jobs):
-                cp.add(result)
-                _write_checkpoint(checkpoint, cp)
-            add(n, (cp.visited, cp.lines, cp.bscans))
-        else:
-            for result in _map_tasks(tasks, jobs):
-                add(n, result)
+        for result in done:
+            add(n, result)
+        for result in _map_tasks(tasks[len(done):], jobs):
+            add(n, result)
+            if journaled:
+                with open(checkpoint, "a", encoding="ascii") as fh:
+                    fh.write(json.dumps(result) + "\n")
     return visited_by_order, lines, bscans
 
 
@@ -312,7 +321,7 @@ def mine_forbidden(class_name: str, max_n: int, *, jobs: int = 1,
     get_predicate(class_name)  # validate the name before sweeping
     start = time.monotonic()
     visited_by_order, lines, _ = _sweep(
-        "mine", class_name, max_n, jobs, checkpoint, chunk_size, source
+        _mine_chunk, class_name, max_n, jobs, checkpoint, chunk_size, source
     )
     by_key: dict[bytes, Graph] = {}
     for line in lines:
@@ -353,7 +362,7 @@ def verify_conjecture(max_n: int, *, jobs: int = 1,
     has alpha + omega >= n - 1; reports any counterexamples (expected none)."""
     start = time.monotonic()
     visited_by_order, bad, scanned = _sweep(
-        "conjecture", "sum-perfect", max_n, jobs, checkpoint, chunk_size, source
+        _conjecture_chunk, "sum-perfect", max_n, jobs, checkpoint, chunk_size, source
     )
     return ConjectureReport(
         max_n=max_n,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 from .family import build_family
 from .graphs import Graph, delete_vertex, mask_of, vertices_of
@@ -49,12 +50,10 @@ def find_forbidden_copies(g: Graph, limit: int | None = 1) -> list[ForbiddenCopy
     limit=1 stops at the first copy; limit=None lists every copy.
     """
     fam = build_family()
-    out = []
-    for hit in _family_patterns().scan(g):
-        out.append(ForbiddenCopy(hit.label, fam.member(hit.label).name, hit.embedding))
-        if limit is not None and len(out) >= limit:
-            break
-    return out
+    return [
+        ForbiddenCopy(hit.label, fam.member(hit.label).name, hit.embedding)
+        for hit in islice(_family_patterns().scan(g), limit)
+    ]
 
 
 def is_sum_perfect(g: Graph) -> tuple[bool, Witness]:

@@ -84,6 +84,15 @@ def test_analyze_parse_error_continues(tmp_path, capsys, c5):
     assert len(out.strip().splitlines()) == 1
 
 
+def test_non_ascii_line_is_one_parse_error(tmp_path, capsys, c5):
+    path = tmp_path / "in.g6"
+    path.write_bytes(b"\xff\n" + emit_graph6(c5).encode() + b"\n")
+    code, out, err = run(capsys, "recognize", str(path))
+    assert code == 2
+    assert err.count("parse error: line 1:") == 1 and len(err.splitlines()) == 1
+    assert json.loads(out)["id"] == "line 2"
+
+
 def test_analyze_edge_list_blocks(tmp_path, capsys):
     path = tmp_path / "in.txt"
     path.write_text("5\n0 1\n1 2\n2 3\n3 4\n4 0\n\n3\n0 1\n")
@@ -181,6 +190,28 @@ def test_verify_conjecture_small(capsys):
 def test_verify_envelope_usage_error(capsys):
     code, _, err = run(capsys, "verify", "conjecture", "--max-n", "11")
     assert code == 2 and "max-n" in err
+    # Below order 7 the two 7-vertex members cannot appear.
+    code, _, err = run(capsys, "verify", "theorem27", "--max-n", "6")
+    assert code == 2 and "7..9" in err
+
+
+def test_mine_source_refuses_checkpoint(tmp_path, capsys, c5):
+    src = tmp_path / "src.g6"
+    src.write_text(emit_graph6(c5) + "\n")
+    ckpt = tmp_path / "c.ckpt"
+    code, out, err = run(capsys, "mine", "--class", "sum-perfect", "--max-n", "5",
+                         "--source", str(src), "--checkpoint", str(ckpt))
+    assert code == 2 and out == "" and "checkpoint" in err
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("target", ["theorem27", "threshold"])
+def test_verify_refuses_checkpoint(tmp_path, capsys, target):
+    ckpt = tmp_path / "c.ckpt"
+    code, out, err = run(capsys, "verify", target, "--max-n", "7",
+                         "--checkpoint", str(ckpt))
+    assert code == 2 and out == "" and "checkpoint" in err
+    assert not ckpt.exists()
 
 
 def test_usage_error_exit_code(capsys):

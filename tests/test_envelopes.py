@@ -6,6 +6,7 @@ import re
 from pathlib import Path
 
 from sumperfect.canon import CANON_MAX
+from sumperfect.cli import _MINE_ENVELOPE, _VERIFY_ENVELOPE
 from sumperfect.enumeration import ENUM_MAX
 from sumperfect.graphs import MAX_VERTICES
 from sumperfect.invariants import DEFICIENCY_MAX, LOVASZ_MAX
@@ -20,6 +21,11 @@ EXPECTED = {
     "`is_perfect_lovasz`, `check_threshold_theorem`": str(LOVASZ_MAX),
     "built-in enumeration": str(ENUM_MAX),
     "`count_hc_forbidden`": f"max_n {HC_MINE_MAX}",
+    "`mine --max-n`": "{}..{}".format(*_MINE_ENVELOPE),
+    **{
+        f"`verify {target} --max-n`": "{}..{}".format(*bounds)
+        for target, bounds in _VERIFY_ENVELOPE.items()
+    },
 }
 
 

@@ -108,8 +108,8 @@ def test_mine_from_external_source():
     assert res.visited == 4
 
 
-def test_checkpoint_resume_mid_level(tmp_path, monkeypatch):
-    path = str(tmp_path / "mine.ckpt")
+def _interrupt_level_6(path, monkeypatch):
+    """Mine sum-perfect to 6 with a checkpoint, cut off inside level 6."""
     calls = {"n": 0}
     real_work = mining._work
 
@@ -125,6 +125,11 @@ def test_checkpoint_resume_mid_level(tmp_path, monkeypatch):
         mine_forbidden("sum-perfect", 6, checkpoint=path, chunk_size=16)
     monkeypatch.setattr(mining, "_work", real_work)
 
+
+def test_checkpoint_resume_mid_level(tmp_path, monkeypatch):
+    path = str(tmp_path / "mine.ckpt")
+    _interrupt_level_6(path, monkeypatch)
+
     cp = mining._load_checkpoint(path)
     assert cp is not None and cp.level == 6 and 0 < cp.next_chunk < 10
 
@@ -134,11 +139,47 @@ def test_checkpoint_resume_mid_level(tmp_path, monkeypatch):
     assert resumed.visited == clean.visited
 
 
+def test_checkpoint_resume_after_torn_last_line(tmp_path, monkeypatch):
+    path = tmp_path / "mine.ckpt"
+    _interrupt_level_6(str(path), monkeypatch)
+    done = mining._load_checkpoint(str(path)).next_chunk
+    # Cut the last record mid-line, as a crash during its write would.
+    data = path.read_bytes()
+    path.write_bytes(data[: data.rstrip(b"\n").rfind(b"\n") + 6])
+    assert mining._load_checkpoint(str(path)).next_chunk == done - 1
+
+    resumed = mine_forbidden("sum-perfect", 6, checkpoint=str(path), chunk_size=16)
+    clean = mine_forbidden("sum-perfect", 6)
+    assert [k for k, _ in resumed.certificates] == [k for k, _ in clean.certificates]
+    assert resumed.visited == clean.visited
+    # The rerun chunk's record starts on a fresh line: every line parses.
+    assert path.read_bytes().endswith(b"\n")
+    assert mining._load_checkpoint(str(path)).next_chunk == 10
+
+
+def test_checkpoint_refuses_unreadable_journals(tmp_path):
+    old = tmp_path / "old.ckpt"
+    old.write_text('Dhc\n#cursor {"chunk_size": 512, "level": 5, "next_chunk": 1}\n')
+    with pytest.raises(ValueError):
+        mine_forbidden("sum-perfect", 5, checkpoint=str(old))
+    assert old.read_text().startswith("Dhc\n")
+
+    path = tmp_path / "mine.ckpt"
+    mine_forbidden("sum-perfect", 5, checkpoint=str(path), chunk_size=8)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1] = lines[1][:-3] + "\n"  # a malformed record that is not the last
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError):
+        mine_forbidden("sum-perfect", 5, checkpoint=str(path), chunk_size=8)
+
+
 def test_checkpoint_rejects_mismatched_params(tmp_path):
     path = str(tmp_path / "mine.ckpt")
     mine_forbidden("sum-perfect", 5, checkpoint=path, chunk_size=8)
     with pytest.raises(ValueError):
         mine_forbidden("sum-perfect", 6, checkpoint=path, chunk_size=8)
+    with pytest.raises(ValueError):
+        mine_forbidden("sum-perfect", 5, checkpoint=path, chunk_size=4)
     # Same level and chunk size, but written for another class or task.
     other = str(tmp_path / "threshold.ckpt")
     mine_forbidden("threshold", 6, checkpoint=other)
@@ -146,6 +187,20 @@ def test_checkpoint_rejects_mismatched_params(tmp_path):
         mine_forbidden("sum-perfect", 6, checkpoint=other)
     with pytest.raises(ValueError):
         verify_conjecture(6, checkpoint=other)
+
+
+def test_mine_source_jobs_agree(tmp_path):
+    from sumperfect.enumeration import graphs_of_order
+
+    gs = graphs_of_order(5) + graphs_of_order(6)  # 6 chunks of 32 at most
+    r1 = mine_forbidden("sum-perfect", 6, source=gs, chunk_size=32, jobs=1)
+    r2 = mine_forbidden("sum-perfect", 6, source=gs, chunk_size=32, jobs=2)
+    assert r1.certificates == r2.certificates and r1.visited == r2.visited == 190
+    assert r1.counts_by_order == {5: 1, 6: 24}
+    path = tmp_path / "src.ckpt"
+    with pytest.raises(ValueError):
+        mine_forbidden("sum-perfect", 6, source=gs, checkpoint=str(path))
+    assert not path.exists()
 
 
 def test_verify_theorem27_small():
