@@ -1,16 +1,17 @@
 """Exact canonical forms and isomorphism testing for graphs up to 12 vertices.
 
-The canonical key of a graph is n followed by the upper-triangle bits
-(column-major, matching graph6 bit order) of one relabelling: the one whose
-column tuple (column j being the bitmask of the neighbours of position j
-among positions < j) is smallest among the leaves of the search tree
-described below. It is not, in general, the smallest over all n!
-relabellings (it differs on 144 of the 156 graphs of order 6), because most
-relabellings are not leaves of that tree. The tree is built from
-labelling-independent refinement steps, so its set of leaves, and hence the
-key, is an isomorphism invariant: equal keys hold exactly for isomorphic
-graphs. The key bytes depend on `_refine` (which cell comes first), so
-changing the refinement changes the keys, though not which graphs share one.
+The canonical key of a graph is n followed by the upper-triangle bits of one
+relabelling, packed 8 to a byte by graph6's `pack_upper_triangle` (so in
+graph6 bit order): the one whose column tuple (column j being the bitmask of
+the neighbours of position j among positions < j) is smallest among the
+leaves of the search tree described below. It is not, in general, the
+smallest over all n! relabellings (it differs on 144 of the 156 graphs of
+order 6), because most relabellings are not leaves of that tree. The tree is
+built from labelling-independent refinement steps, so its set of leaves, and
+hence the key, is an isomorphism invariant: equal keys hold exactly for
+isomorphic graphs. The key bytes depend on `_refine` (which cell comes
+first), so changing the refinement changes the keys, though not which graphs
+share one.
 
 The search never considers all n! permutations: vertices are first partitioned
 by iterated degree refinement, the branch tree individualizes one vertex of
@@ -18,16 +19,21 @@ the first non-singleton cell at a time (re-refining after each choice), string
 prefixes are compared against the incumbent to prune, and automorphisms
 discovered at equal leaves collapse equivalent siblings. That keeps even the
 fully symmetric worst cases (empty/complete graphs, unions of cliques) small
-at this scale while staying exact.
+at this scale while staying exact. Every automorphism found is kept, with no
+cap (the empty and complete 12-vertex graphs store the most, 132), but the
+list is not proven to generate the whole automorphism group.
+
+There is one labelling path: `canonical_labeling` checks the n <= CANON_MAX
+envelope, runs the search and packs the key, and `canonical_key` is the key
+half of its result.
 """
 
 from __future__ import annotations
 
+from .graph6 import pack_upper_triangle
 from .graphs import Graph
 
 CANON_MAX = 12
-
-_AUT_CAP = 200
 
 
 def _refine(n: int, adj: tuple[int, ...], colors: list[int]) -> list[int]:
@@ -54,8 +60,8 @@ def _refine(n: int, adj: tuple[int, ...], colors: list[int]) -> list[int]:
 def _canonicalize(n: int, adj: tuple[int, ...]):
     """Return (cols, order, auts): minimal column tuple, the permutation
     achieving it (order[i] = original vertex at canonical position i), and the
-    automorphisms discovered along the way (not necessarily a full generating
-    set; used only for pruning and available to callers as a bonus)."""
+    automorphisms discovered along the way (each with its inverse; not proven
+    to be a full generating set; used here only for pruning)."""
     if n == 0:
         return (), (), []
     if n == 1:
@@ -94,16 +100,17 @@ def _canonicalize(n: int, adj: tuple[int, ...]):
 
         if best_cols is not None and len(prefix) > 1:
             part = prefix_cols(prefix, len(prefix))
-            head = best_cols[: len(part)]
-            if part > head:
+            if part > best_cols[: len(part)]:
                 return
 
         if target is None:
-            cols = prefix_cols(prefix, n)
+            # Past the first leaf, the prefix is the whole order and `part`
+            # already holds its columns.
+            cols = prefix_cols(prefix, n) if best_cols is None else part
             if best_cols is None or cols < best_cols:
                 best_cols = cols
                 best_order = tuple(prefix)
-            elif cols == best_cols and len(auts) < _AUT_CAP:
+            elif cols == best_cols:
                 sigma = [0] * n
                 for i in range(n):
                     sigma[best_order[i]] = prefix[i]
@@ -146,40 +153,17 @@ def _canonicalize(n: int, adj: tuple[int, ...]):
     return tuple(best_cols), best_order, auts
 
 
-def _pack_key(n: int, cols: tuple[int, ...]) -> bytes:
-    out = bytearray([n])
-    acc = 0
-    nbits = 0
-    for j in range(1, n):
-        col = cols[j - 1]
-        for i in range(j):
-            acc = (acc << 1) | ((col >> i) & 1)
-            nbits += 1
-            if nbits == 8:
-                out.append(acc)
-                acc = nbits = 0
-    if nbits:
-        out.append(acc << (8 - nbits))
-    return bytes(out)
-
-
-def _check_envelope(g: Graph):
+def canonical_labeling(g: Graph) -> tuple[tuple[int, ...], bytes]:
+    """(order, key) where order[i] is the original vertex at canonical position i."""
     if g.n > CANON_MAX:
         raise ValueError(f"canonicalization supports n <= {CANON_MAX}, got {g.n}")
+    cols, order, _ = _canonicalize(g.n, g.adj)
+    return order, bytes([g.n, *pack_upper_triangle((0, *cols), 8)])
 
 
 def canonical_key(g: Graph) -> bytes:
     """Isomorphism-invariant byte string; equal keys iff isomorphic graphs."""
-    _check_envelope(g)
-    cols, _, _ = _canonicalize(g.n, g.adj)
-    return _pack_key(g.n, cols)
-
-
-def canonical_labeling(g: Graph) -> tuple[tuple[int, ...], bytes]:
-    """(order, key) where order[i] is the original vertex at canonical position i."""
-    _check_envelope(g)
-    cols, order, _ = _canonicalize(g.n, g.adj)
-    return order, _pack_key(g.n, cols)
+    return canonical_labeling(g)[1]
 
 
 def is_isomorphic(a: Graph, b: Graph) -> bool:

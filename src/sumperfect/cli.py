@@ -2,7 +2,7 @@
 
 Inputs are graph6 lines or edge-list blocks (first line n, then 'u v' lines,
 blocks separated by blank lines); '-' reads stdin. Exit codes: 0 clean,
-1 mathematical counterexample, 2 usage or parse error.
+1 mathematical counterexample, 2 usage, parse or file error.
 """
 
 from __future__ import annotations
@@ -359,10 +359,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         return args.fn(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

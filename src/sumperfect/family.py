@@ -14,7 +14,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .canon import canonical_key
-from .graphs import Graph, complement, delete_vertex, from_edge_list, is_connected
+from .graphs import (
+    Graph,
+    bipartition,
+    complement,
+    delete_vertex,
+    from_edge_list,
+    is_connected,
+)
+from .induced import contains_induced
 from .invariants import (
     clique_number,
     deficit,
@@ -131,8 +139,6 @@ def enumerate_bipartite_pm6() -> list[Graph]:
         if key not in seen:
             seen[key] = g
     out = [seen[k] for k in sorted(seen)]
-    from .graphs import bipartition
-
     for g in out:
         if bipartition(g) is None or matching_number(g) != 3:
             raise AssertionError("generated a non-bipartite or non-PM graph")
@@ -179,8 +185,6 @@ class FamilyReport:
 
 def verify_family(family: ForbiddenFamily | None = None) -> FamilyReport:
     """Re-derive every structural claim the family is supposed to satisfy."""
-    from .induced import contains_induced
-
     fam = family if family is not None else build_family()
     checks = []
     for m in fam:

@@ -8,7 +8,9 @@ header (one byte, n + 63) covers n <= 62; the parser additionally accepts the
 
 from __future__ import annotations
 
-from .graphs import MAX_VERTICES, Graph
+from typing import Sequence
+
+from .graphs import MAX_VERTICES, Graph, from_edge_list
 
 _HEADER = ">>graph6<<"
 
@@ -17,26 +19,28 @@ class FormatError(ValueError):
     """Raised on malformed graph6 or edge-list input."""
 
 
+def pack_upper_triangle(cols: Sequence[int], width: int) -> list[int]:
+    """Bit i of cols[j] for every j >= 1 and i < j, column by column (the
+    graph6 bit order), cut into width-bit chunks; the last one is zero-padded."""
+    n = len(cols)
+    acc = 0
+    for j in range(1, n):
+        col = cols[j]
+        for i in range(j):
+            acc = (acc << 1) | ((col >> i) & 1)
+    nbits = n * (n - 1) // 2
+    pad = -nbits % width
+    acc <<= pad
+    mask = (1 << width) - 1
+    return [(acc >> s) & mask for s in range(nbits + pad - width, -1, -width)]
+
+
 def emit_graph6(g: Graph) -> str:
     """Standard short-form graph6 encoding (requires n <= 62)."""
     n = g.n
     if n > 62:
         raise ValueError(f"short-form graph6 covers n <= 62, got {n}")
-    out = [chr(n + 63)]
-    acc = 0
-    nbits = 0
-    for j in range(1, n):
-        col = g.adj[j]
-        for i in range(j):
-            acc = (acc << 1) | ((col >> i) & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(acc + 63))
-                acc = nbits = 0
-    if nbits:
-        acc <<= 6 - nbits
-        out.append(chr(acc + 63))
-    return "".join(out)
+    return "".join(chr(c + 63) for c in (n, *pack_upper_triangle(g.adj, 6)))
 
 
 def parse_graph6(text: str) -> Graph:
@@ -84,8 +88,6 @@ def emit_edge_list(g: Graph) -> str:
 
 def parse_edge_list(text: str) -> Graph:
     """Parse one edge-list block (first line n, then 'u v' lines)."""
-    from .graphs import from_edge_list
-
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise FormatError("empty edge-list input")

@@ -40,14 +40,6 @@ class Graph:
         self.n = n
         self.adj = adj
 
-    # Constructors ---------------------------------------------------------
-
-    @staticmethod
-    def empty(n: int) -> Graph:
-        if not 0 <= n <= MAX_VERTICES:
-            raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
-        return Graph(n, (0,) * n)
-
     # Queries --------------------------------------------------------------
 
     def degree(self, v: int) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph
+from .graphs import Graph, bipartition, complement
 
 DEFICIENCY_MAX = 20
 LOVASZ_MAX = 16
@@ -63,14 +63,9 @@ def _clique_bb(n: int, adj: tuple[int, ...], sub: int) -> tuple[int, int]:
     return best, best_mask
 
 
-def _comp_rows(n: int, adj: tuple[int, ...]) -> tuple[int, ...]:
-    full = (1 << n) - 1
-    return tuple(full ^ a ^ (1 << v) for v, a in enumerate(adj))
-
-
 def stability_number(g: Graph) -> int:
-    """alpha: the maximum size of a stable set."""
-    return _clique_bb(g.n, _comp_rows(g.n, g.adj), g.vertex_mask())[0]
+    """alpha: the maximum size of a stable set (= omega of the complement)."""
+    return clique_number(complement(g))
 
 
 def clique_number(g: Graph) -> int:
@@ -99,9 +94,7 @@ def _lex_min_optimum(n: int, rows: tuple[int, ...], total: int) -> int:
 
 def max_stable_set(g: Graph) -> int:
     """Lexicographically smallest maximum stable set, as a bitmask."""
-    rows = _comp_rows(g.n, g.adj)
-    total = _clique_bb(g.n, rows, g.vertex_mask())[0]
-    return _lex_min_optimum(g.n, rows, total)
+    return max_clique(complement(g))
 
 
 def max_clique(g: Graph) -> int:
@@ -155,8 +148,6 @@ def matching_number(g: Graph) -> int:
     Bipartite graphs use augmenting paths; general graphs branch on the
     lowest non-isolated vertex with verdicts memoized per vertex mask.
     """
-    from .graphs import bipartition
-
     parts = bipartition(g)
     if parts is not None:
         return _bipartite_nu(g, parts[0])
@@ -231,7 +222,7 @@ def _subset_dp(g: Graph, bound: list[list[int]],
     if n > DEFICIENCY_MAX:
         raise ValueError(f"subgraph scan supports n <= {DEFICIENCY_MAX}, got {n}")
     adj = g.adj
-    cadj = _comp_rows(n, adj)
+    cadj = complement(g).adj
     aclosed = [adj[v] | (1 << v) for v in range(n)]
     wclosed = [cadj[v] | (1 << v) for v in range(n)]
     size = 1 << n

@@ -3,15 +3,18 @@
 A hereditary class predicate is mined by visiting every isomorphism class up
 to a target order and keeping the graphs that fail the predicate while all
 one-vertex deletions satisfy it (heredity makes single deletions sufficient).
-Sweeps can run across worker processes: parents are split into chunks, each
-worker expands and evaluates its chunk, and results are merged in submission
-order, so output is identical for every worker count. The final level can
-checkpoint into an append-only journal: a JSON header line naming the sweep
-(task, class, level = max_n, chunk size), then one JSON line
-[visited, lines, bscans] per completed chunk. A rerun adds the journaled
-results like fresh ones and runs only the chunks after them; a journal for
-another sweep, in the old graph6-plus-cursor format, or with a malformed
-line other than a torn last one is refused with ValueError.
+Sweeps can run across worker processes. Levels up to enumeration's
+_CACHE_MAX (8) are enumerated in the main process and cut into chunks that
+the workers only evaluate; above it, the level below is cut into chunks of
+parents and each worker expands its chunk into children before evaluating
+them. Results are merged in submission order, so output is identical for
+every worker count. The final level can checkpoint into an append-only
+journal: a JSON header line naming the sweep (task, class, level = max_n,
+chunk size), then one JSON line [visited, lines, bscans] per completed chunk.
+A rerun adds the journaled results like fresh ones and runs only the chunks
+after them; a journal for another sweep, in the old graph6-plus-cursor
+format, or with a malformed line other than a torn last one is refused with
+ValueError.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .enumeration import _CACHE_MAX, children_of, graphs_of_order, stream_graphs
 from .family import build_conjecture_family, build_family
 from .graph6 import emit_graph6, parse_graph6
 from .graphs import Graph, delete_vertex
+from .induced import PatternSet
 from .invariants import (
     clique_number,
     has_deficiency_above,
@@ -37,6 +41,7 @@ from .invariants import (
     is_sum_perfect_definitional,
     stability_number,
 )
+from .recognition import check_threshold_theorem, is_threshold, is_threshold_by_obstructions
 
 _DEFAULT_CHUNK = 512
 HC_MINE_MAX = 9
@@ -54,8 +59,6 @@ class ClassPredicate:
 
 def get_predicate(name: str) -> ClassPredicate:
     """Resolve a predicate name: sum-perfect, threshold, perfect, deficiency:C."""
-    from .recognition import is_threshold
-
     if name == "sum-perfect":
         return ClassPredicate(name, is_sum_perfect_definitional)
     if name == "threshold":
@@ -83,8 +86,6 @@ def _deletions_satisfy(fn, g: Graph) -> bool:
 
 @lru_cache(maxsize=1)
 def _b_patterns():
-    from .induced import PatternSet
-
     return PatternSet([(m.index, m.graph) for m in build_conjecture_family()])
 
 
@@ -427,8 +428,6 @@ class ThresholdReport:
 def verify_threshold_equivalence(max_n: int = 7) -> ThresholdReport:
     """Elimination ordering, {P4,C4,2K2}-freeness, and the all-subgraphs
     alpha + omega = |V| + 1 test must agree on every graph up to max_n."""
-    from .recognition import check_threshold_theorem, is_threshold, is_threshold_by_obstructions
-
     checked = 0
     bad: list[str] = []
     for n in range(0, max_n + 1):

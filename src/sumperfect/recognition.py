@@ -13,7 +13,15 @@ from functools import lru_cache
 from itertools import islice
 
 from .family import build_family
-from .graphs import Graph, delete_vertex, mask_of, vertices_of
+from .graphs import (
+    Graph,
+    cycle_graph,
+    delete_vertex,
+    from_edge_list,
+    mask_of,
+    path_graph,
+    vertices_of,
+)
 from .induced import Embedding, PatternSet
 from .invariants import (
     LOVASZ_MAX,
@@ -88,8 +96,6 @@ def is_threshold(g: Graph) -> bool:
 
 @lru_cache(maxsize=1)
 def _threshold_obstructions() -> PatternSet:
-    from .graphs import cycle_graph, from_edge_list, path_graph
-
     two_k2 = from_edge_list(4, [(0, 1), (2, 3)])
     return PatternSet([("P4", path_graph(4)), ("C4", cycle_graph(4)), ("2K2", two_k2)])
 

@@ -7,6 +7,7 @@ import pytest
 
 from oracles import brute_is_isomorphic, labeled_graphs
 from sumperfect.canon import canonical_key, canonical_labeling, is_isomorphic
+from sumperfect.graph6 import pack_upper_triangle
 from sumperfect.graphs import (
     Graph,
     complete_bipartite,
@@ -82,6 +83,8 @@ def test_symmetric_worst_cases_terminate_quickly():
     cases = [
         Graph(10, (0,) * 10),
         complete_graph(10),
+        Graph(12, (0,) * 12),  # the most automorphisms stored within CANON_MAX
+        complete_graph(12),
         complete_bipartite(5, 5),
         cycle_graph(10),
         disjoint_union(cycle_graph(5), cycle_graph(5)),
@@ -97,6 +100,17 @@ def test_canonical_labeling_is_a_permutation(c5):
     assert sorted(order) == list(range(5))
     assert key == canonical_key(c5)
     assert key[0] == 5
+
+
+def test_key_is_the_graph6_bit_order_of_the_canonical_relabelling():
+    rng = random.Random(11)
+    for n in range(0, 10):
+        g = from_edge_list(n, [
+            (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5
+        ])
+        order, key = canonical_labeling(g)
+        canon = _relabel(g, tuple(order.index(v) for v in range(n)))
+        assert key == bytes([n, *pack_upper_triangle(canon.adj, 8)])
 
 
 def test_envelope_error():

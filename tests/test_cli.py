@@ -214,6 +214,19 @@ def test_verify_refuses_checkpoint(tmp_path, capsys, target):
     assert not ckpt.exists()
 
 
+def test_directory_input_is_a_file_error(tmp_path, capsys):
+    code, out, err = run(capsys, "recognize", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_directory_checkpoint_is_a_file_error(tmp_path, capsys):
+    code, out, err = run(capsys, "mine", "--class", "threshold", "--max-n", "4",
+                         "--jobs", "1", "--checkpoint", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
 def test_usage_error_exit_code(capsys):
     assert run(capsys, "bogus")[0] == 2
     assert run(capsys, "mine", "--max-n", "4")[0] == 2  # missing --class

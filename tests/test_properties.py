@@ -5,7 +5,7 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from sumperfect.canon import canonical_key
-from sumperfect.graph6 import emit_graph6, parse_graph6
+from sumperfect.graph6 import FormatError, emit_graph6, parse_edge_list, parse_graph6
 from sumperfect.graphs import (
     complement,
     delete_vertex,
@@ -49,6 +49,24 @@ def test_complement_involution(g):
 @settings(max_examples=200, deadline=None)
 def test_graph6_roundtrip(g):
     assert parse_graph6(emit_graph6(g)) == g
+
+
+# Arbitrary text, and text over the characters the two formats are made of.
+_parser_inputs = st.one_of(
+    st.text(),
+    st.text(alphabet="?@ABC_`~>graph6<\n "),
+    st.text(alphabet="0123456789 -\n"),
+)
+
+
+@given(_parser_inputs)
+@settings(max_examples=500, deadline=None)
+def test_parsers_raise_only_format_error(text):
+    for parse in (parse_graph6, parse_edge_list):
+        try:
+            parse(text)
+        except FormatError:
+            pass
 
 
 @given(graph_with_permutation())
