@@ -47,10 +47,10 @@ class ParsedInput:
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     # A non-ASCII byte decodes to U+FFFD, which neither parser accepts, so
-    # only its own line (or edge-list block) fails.
+    # only its own line (or edge-list block) fails, from stdin as from a file.
+    if path == "-":
+        return sys.stdin.buffer.read().decode("ascii", errors="replace")
     with open(path, "rb") as fh:
         return fh.read().decode("ascii", errors="replace")
 

@@ -1,21 +1,36 @@
 """Induced-subgraph search: embeddings of a pattern into a host graph.
 
-Subsets of host vertices are scanned in lexicographic order with cheap
-isomorphism-invariant fingerprints filtering before an exact canonical-key
-comparison, so the common miss path never canonicalizes. PatternSet indexes a
-whole obstruction family so one subset scan tests all same-size patterns at
-once via a key lookup.
+PatternSet indexes a set of patterns by size and searches, size by size in
+ascending order, the host's vertex subsets of that size depth-first in
+lexicographic order. A prefix of a subset is kept as bitmask state (its
+vertex mask, its edge count and the vertices still allowed to extend it),
+and no Graph is built while the search runs.
+
+From the patterns of each size the index derives three bounds: the largest
+clique number, the largest stability number and the range of edge counts.
+Induced cliques, stable sets and edges only grow as vertices are added, so a
+vertex that would close a clique or stable set above those bounds is never
+added, and a prefix whose edge count has left the range, or can no longer
+reach it with the vertices still to come, is abandoned. For the sum-perfect
+family this rules out every subset holding a K4 or a stable 4-set, and at
+size 5 (C5 alone) every triangle and stable triple.
+
+A full subset that survives is filtered by its shape (edge count, sorted
+degrees, triangle count), computed from masks by the same helper that
+indexes the patterns. Only a subset whose shape matches some pattern is
+built as a Graph and canonically labelled, and its key is looked up among
+the pattern keys. The pruning only skips subsets that no pattern can match,
+so hits come out in exactly the order of a plain lexicographic scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterator
 
 from .canon import canonical_labeling
-from .graphs import Graph, induced_subgraph
-from .invariants import triangle_count
+from .graphs import Graph, complement, induced_subgraph, vertices_of
+from .invariants import clique_number, stability_number
 
 
 @dataclass(frozen=True)
@@ -28,9 +43,40 @@ class Embedding:
         return tuple(sorted(self.mapping))
 
 
-def fingerprint(g: Graph) -> tuple:
-    """Cheap isomorphism invariant: (n, edges, degree sequence, triangles)."""
-    return (g.n, g.edge_count(), g.degree_sequence(), triangle_count(g))
+def _shape(adj: tuple[int, ...], mask: int) -> tuple:
+    """(edges, sorted degrees, triangles) of the subgraph induced on mask."""
+    degrees = []
+    triangles = 0
+    rest = mask
+    while rest:
+        b = rest & -rest
+        rest ^= b
+        row = adj[b.bit_length() - 1] & mask
+        degrees.append(row.bit_count())
+        # Count each triangle once, from its lowest vertex and middle vertex.
+        later = row & rest
+        while later:
+            c = later & -later
+            later ^= c
+            triangles += (adj[c.bit_length() - 1] & later).bit_count()
+    degrees.sort()
+    return sum(degrees) // 2, tuple(degrees), triangles
+
+
+def _closers(adj: tuple[int, ...], s: int, t: int, common: int) -> int:
+    """The vertices of common adjacent to every member of some t-clique in s."""
+    if t == 0:
+        return common
+    out = 0
+    while s:
+        b = s & -s
+        s ^= b
+        row = adj[b.bit_length() - 1]
+        if t == 1:
+            out |= common & row
+        elif common & row:
+            out |= _closers(adj, s & row, t - 1, common & row)
+    return out
 
 
 def embedding_is_valid(host: Graph, pattern: Graph, emb: Embedding) -> bool:
@@ -68,35 +114,95 @@ class PatternHit:
     embedding: Embedding
 
 
+class _Size:
+    """The patterns of one order: their shapes and canonical keys, and the
+    bounds the search prunes by (largest clique and stability numbers, edge
+    range)."""
+
+    def __init__(self, patterns: list[tuple[object, Graph]]):
+        shapes = [_shape(g.adj, g.vertex_mask()) for _, g in patterns]
+        self.shapes = set(shapes)
+        self.min_edges = min(edges for edges, _, _ in shapes)
+        self.max_edges = max(edges for edges, _, _ in shapes)
+        self.omega = max(clique_number(g) for _, g in patterns)
+        self.alpha = max(stability_number(g) for _, g in patterns)
+        self.keys: dict[bytes, tuple] = {}
+        for label, g in patterns:
+            order, key = canonical_labeling(g)
+            if key in self.keys:
+                raise ValueError(f"duplicate pattern {label!r} (isomorphic twin)")
+            self.keys[key] = (label, g, order)
+
+
+def _shaped_subsets(
+    adj: tuple[int, ...], co: tuple[int, ...], k: int, level: _Size
+) -> Iterator[int]:
+    """Masks of the k-subsets whose shape is some pattern's, lexicographically.
+
+    co is the complement's adjacency. A subset is skipped only if it holds a
+    clique or stable set larger than every pattern's of order k, or its edge
+    count is out of their range.
+    """
+    shapes = level.shapes
+    if k == 0:
+        if _shape(adj, 0) in shapes:
+            yield 0
+        return
+    omega, alpha = level.omega, level.alpha
+    lo, hi = level.min_edges, level.max_edges
+
+    def grow(prefix: int, edges: int, avail: int, size: int) -> Iterator[int]:
+        # avail: the vertices above the prefix's last one that close no
+        # clique or stable set beyond the bounds.
+        left = k - size - 1
+        room = left * (size + 1) + left * (left - 1) // 2
+        while avail.bit_count() > left:
+            b = avail & -avail
+            avail ^= b
+            v = b.bit_length() - 1
+            e = edges + (adj[v] & prefix).bit_count()
+            if e > hi or e + room < lo:
+                continue
+            mask = prefix | b
+            if not left:
+                if _shape(adj, mask) in shapes:
+                    yield mask
+                continue
+            nxt = avail
+            if size + 1 >= omega:
+                nxt &= ~_closers(adj, prefix & adj[v], omega - 1, adj[v])
+            if size + 1 >= alpha:
+                nxt &= ~_closers(co, prefix & co[v], alpha - 1, co[v])
+            if nxt.bit_count() >= left:
+                yield from grow(mask, e, nxt, size + 1)
+
+    yield from grow(0, 0, (1 << len(adj)) - 1, 0)
+
+
 class PatternSet:
     """An indexed set of forbidden patterns searched smallest-size first."""
 
     def __init__(self, patterns: list[tuple[object, Graph]]):
-        self._by_size: dict[int, tuple[set, dict]] = {}
+        by_size: dict[int, list] = {}
         for label, g in patterns:
-            fps, keys = self._by_size.setdefault(g.n, (set(), {}))
-            fps.add(fingerprint(g))
-            order, key = canonical_labeling(g)
-            if key in keys:
-                raise ValueError(f"duplicate pattern {label!r} (isomorphic twin)")
-            keys[key] = (label, g, order)
+            by_size.setdefault(g.n, []).append((label, g))
+        self._by_size = {k: _Size(group) for k, group in by_size.items()}
         self.sizes = tuple(sorted(self._by_size))
 
     def scan(self, host: Graph) -> Iterator[PatternHit]:
         """All pattern copies in host: sizes ascending, subsets lexicographic."""
+        co = complement(host).adj
         for k in self.sizes:
             if k > host.n:
                 break
-            fps, keys = self._by_size[k]
-            for subset in combinations(range(host.n), k):
-                sub = induced_subgraph(host, subset)
-                if fingerprint(sub) not in fps:
-                    continue
-                sub_order, sub_key = canonical_labeling(sub)
-                hit = keys.get(sub_key)
+            level = self._by_size[k]
+            for mask in _shaped_subsets(host.adj, co, k, level):
+                sub_order, sub_key = canonical_labeling(induced_subgraph(host, mask))
+                hit = level.keys.get(sub_key)
                 if hit is None:
                     continue
                 label, pat, pat_order = hit
+                subset = vertices_of(mask)
                 yield PatternHit(
                     label, pat, subset, _embedding_from_orders(subset, sub_order, pat_order)
                 )

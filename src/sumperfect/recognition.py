@@ -1,9 +1,11 @@
 """Recognizers with independently re-checkable witnesses.
 
 Sum-perfection is decided by searching for any of the 27 forbidden graphs as
-an induced subgraph (subsets of one size are scanned once and matched against
-all same-size patterns together), so no exponential subgraph sweep is needed.
-Threshold, split, and apex-threshold recognition are polynomial.
+an induced subgraph. The members have 5 to 7 vertices, so the search ranges
+over the O(n^7) vertex subsets of those sizes (each size searched once for
+all its members together, with pruning that skips subsets no member can
+match), not over all 2^n induced subgraphs. Threshold, split, and
+apex-threshold recognition are polynomial.
 """
 
 from __future__ import annotations

@@ -107,6 +107,22 @@ def brute_contains_induced(host: Graph, pattern: Graph) -> bool:
     return False
 
 
+def brute_scan(host: Graph, patterns: list[tuple[object, Graph]]) -> list[tuple]:
+    """Every (label, subset) with subset inducing a copy of that pattern,
+    sizes ascending and subsets lexicographic, by trying every subset."""
+    out = []
+    for k in sorted({p.n for _, p in patterns}):
+        for sub in combinations(range(host.n), k):
+            h = induced_subgraph(host, sub)
+            degrees = sorted(h.degree(v) for v in range(k))
+            for label, p in patterns:
+                if p.n != k or sorted(p.degree(v) for v in range(k)) != degrees:
+                    continue
+                if brute_is_isomorphic(h, p):
+                    out.append((label, sub))
+    return out
+
+
 def brute_is_split(g: Graph) -> bool:
     full = (1 << g.n) - 1
     for mask in range(1 << g.n):

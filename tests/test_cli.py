@@ -235,6 +235,31 @@ def test_usage_error_exit_code(capsys):
 def test_stdin_input(capsys, monkeypatch, c5):
     import io
 
-    monkeypatch.setattr("sys.stdin", io.StringIO(emit_graph6(c5) + "\n"))
+    stdin = io.TextIOWrapper(io.BytesIO((emit_graph6(c5) + "\n").encode()))
+    monkeypatch.setattr("sys.stdin", stdin)
     code, out, _ = run(capsys, "recognize", "-")
     assert code == 0 and json.loads(out.strip())["verdict"] is False
+
+
+def test_non_ascii_stdin_line_is_one_parse_error():
+    # A strict UTF-8 text layer on stdin must not fail the whole input: the
+    # bad byte fails only its own line, as it does when read from a file.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from sumperfect.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", "recognize", "-"],
+        input=b"D?{\n\xff\nD?{\n",
+        env={**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": "utf-8"},
+        capture_output=True,
+        timeout=120,
+    )
+    err = proc.stderr.decode("utf-8", errors="replace")
+    assert proc.returncode == 2
+    assert err.count("parse error: line 2:") == 1 and len(err.splitlines()) == 1
+    ids = [json.loads(line)["id"] for line in proc.stdout.decode().splitlines()]
+    assert ids == ["line 1", "line 3"]

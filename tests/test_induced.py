@@ -1,7 +1,11 @@
 from __future__ import annotations
 
-from oracles import brute_contains_induced
+import random
+
+import pytest
+from oracles import brute_contains_induced, brute_scan
 from sumperfect.graphs import (
+    complete_bipartite,
     complete_graph,
     cycle_graph,
     from_edge_list,
@@ -78,7 +82,70 @@ def test_pattern_set_scans_sizes_ascending(c5):
 
 
 def test_pattern_set_rejects_isomorphic_duplicates():
-    import pytest
-
     with pytest.raises(ValueError):
         PatternSet([("a", path_graph(3)), ("b", from_edge_list(3, [(0, 2), (2, 1)]))])
+
+
+def _random_graph(rng, n, p):
+    return from_edge_list(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < p])
+
+
+def _pattern_sets():
+    from sumperfect.family import build_conjecture_family, build_family
+
+    empty, k1, four_k1 = from_edge_list(0, []), from_edge_list(1, []), from_edge_list(4, [])
+    k4, c5 = complete_graph(4), cycle_graph(5)
+    return {
+        "family": [(m.index, m.graph) for m in build_family()],
+        "threshold": [("P4", path_graph(4)), ("C4", cycle_graph(4)),
+                      ("2K2", from_edge_list(4, [(0, 1), (2, 3)]))],
+        "B": [(m.index, m.graph) for m in build_conjecture_family()],
+        "K4": [("K4", k4)],
+        "4K1": [("4K1", four_k1)],
+        "K1": [("K1", k1)],
+        "empty": [("K0", empty)],
+        # Sizes whose clique, stability and edge bounds all differ, so a
+        # search that prunes one size by another's bounds loses hits.
+        "mixed": [("K0", empty), ("K1", k1), ("K4", k4), ("C5", c5)],
+        "mixed-co": [("4K1", four_k1), ("C5", c5), ("K3,3", complete_bipartite(3, 3))],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_pattern_sets()))
+def test_scan_listing_matches_brute_force(name):
+    patterns = _pattern_sets()[name]
+    ps = PatternSet(patterns)
+    rng = random.Random(name)
+    for _ in range(25):
+        n = rng.randint(0, 10)
+        host = _random_graph(rng, n, rng.random())
+        hits = list(ps.scan(host))
+        assert [(h.label, h.subset) for h in hits] == brute_scan(host, patterns)
+        for h in hits:
+            assert embedding_is_valid(host, h.pattern, h.embedding)
+            assert h.embedding.image() == h.subset
+
+
+def test_full_scan_of_split_host_builds_few_graphs(monkeypatch):
+    # A split graph is sum-perfect, so the scan finds nothing; the search
+    # should rule out nearly every subset before building a Graph for it.
+    from sumperfect import induced
+    from sumperfect.recognition import _family_patterns
+
+    rng = random.Random(20)
+    n = 20
+    edges = [(u, v) for v in range(10) for u in range(v)]
+    edges += [(u, v) for u in range(10) for v in range(10, n) if rng.random() < 0.5]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    host = from_edge_list(n, [(perm[u], perm[v]) for u, v in edges])
+    built = []
+    real = induced.induced_subgraph
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(induced, "induced_subgraph", counting)
+    assert list(_family_patterns().scan(host)) == []
+    assert len(built) < 100
