@@ -2,7 +2,7 @@
 invariant computation, recognition with witnesses, the 27-graph obstruction
 family, and minimal forbidden induced subgraph mining."""
 
-from .canon import canonical_key, canonical_labeling, is_isomorphic
+from .canon import canonical_form, canonical_key, canonical_labeling, is_isomorphic
 from .family import (
     ForbiddenFamily,
     build_conjecture_family,

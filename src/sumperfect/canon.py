@@ -1,4 +1,5 @@
-"""Exact canonical forms and isomorphism testing for graphs up to 12 vertices.
+"""Exact canonical forms, automorphism groups and isomorphism testing for
+graphs up to 12 vertices.
 
 The canonical key of a graph is n followed by the upper-triangle bits of one
 relabelling, packed 8 to a byte by graph6's `pack_upper_triangle` (so in
@@ -19,13 +20,37 @@ the first non-singleton cell at a time (re-refining after each choice), string
 prefixes are compared against the incumbent to prune, and automorphisms
 discovered at equal leaves collapse equivalent siblings. That keeps even the
 fully symmetric worst cases (empty/complete graphs, unions of cliques) small
-at this scale while staying exact. Every automorphism found is kept, with no
-cap (the empty and complete 12-vertex graphs store the most, 132), but the
-list is not proven to generate the whole automorphism group.
+at this scale while staying exact.
 
-There is one labelling path: `canonical_labeling` checks the n <= CANON_MAX
-envelope, runs the search and packs the key, and `canonical_key` is the key
-half of its result.
+The automorphisms found generate the whole group Aut(G), for every n:
+
+- A leaf is a discrete ordered partition, and distinct leaves have distinct
+  orders. Refinement and the choice of target cell are labelling-invariant,
+  so Aut(G) maps leaves to leaves, and two leaves have equal column tuples
+  exactly when one automorphism maps one to the other. Hence the leaves with
+  the minimal column tuple form one Aut(G)-orbit L*, and the action on it is
+  regular: an automorphism fixing a discrete order is the identity.
+- Prefix pruning never cuts an ancestor of an L* leaf: the leading singleton
+  cells of a node start the order of every leaf below it, and a prefix is
+  cut only if its columns exceed the incumbent's, which are never below the
+  minimum.
+- Each visited L* leaf yields the automorphism from the first L* leaf
+  visited to it.
+- A sibling is skipped only when a product of found automorphisms that fix
+  the path maps an explored sibling onto it, so its subtree is that
+  product's image of an explored subtree, which the search reached earlier.
+- By induction over the search order, every L* leaf is then the image of
+  the first one under the group H the found automorphisms generate: H is
+  transitive on L*, and since Aut(G) acts regularly there, |H| = |L*| =
+  |Aut(G)|, so H = Aut(G).
+
+Enumeration relies on this on both sides of its acceptance rule.
+
+There is one labelling path: `canonical_form` checks the n <= CANON_MAX
+envelope, runs the search, packs the key and returns the automorphisms;
+`canonical_labeling` and `canonical_key` are views of its result. `orbit_mins`
+turns a list of permutations into orbits, for the search's sibling pruning
+and for enumeration.
 """
 
 from __future__ import annotations
@@ -34,6 +59,28 @@ from .graph6 import pack_upper_triangle
 from .graphs import Graph
 
 CANON_MAX = 12
+
+
+def orbit_mins(size: int, perms) -> list[int]:
+    """For each point of range(size), the smallest point of its orbit under
+    the group the permutations generate (perm[x] is the image of x)."""
+    root = list(range(size))
+    for p in perms:
+        for x in range(size):
+            a = x
+            while root[a] != a:
+                a = root[a]
+            b = p[x]
+            while root[b] != b:
+                b = root[b]
+            if a < b:
+                root[b] = a
+            elif b < a:
+                root[a] = b
+    # Every root pointer goes down, so one ascending pass flattens them.
+    for x in range(size):
+        root[x] = root[root[x]]
+    return root
 
 
 def _refine(n: int, adj: tuple[int, ...], colors: list[int]) -> list[int]:
@@ -59,9 +106,8 @@ def _refine(n: int, adj: tuple[int, ...], colors: list[int]) -> list[int]:
 
 def _canonicalize(n: int, adj: tuple[int, ...]):
     """Return (cols, order, auts): minimal column tuple, the permutation
-    achieving it (order[i] = original vertex at canonical position i), and the
-    automorphisms discovered along the way (each with its inverse; not proven
-    to be a full generating set; used here only for pruning)."""
+    achieving it (order[i] = original vertex at canonical position i), and
+    non-identity automorphisms that generate the automorphism group."""
     if n == 0:
         return (), (), []
     if n == 1:
@@ -117,10 +163,6 @@ def _canonicalize(n: int, adj: tuple[int, ...]):
                 tau = tuple(sigma)
                 if any(tau[i] != i for i in range(n)) and tau not in auts:
                     auts.append(tau)
-                    inv = [0] * n
-                    for i, x in enumerate(tau):
-                        inv[x] = i
-                    auts.append(tuple(inv))
             return
 
         done: list[int] = []
@@ -128,20 +170,8 @@ def _canonicalize(n: int, adj: tuple[int, ...]):
             if done and auts:
                 fixing = [a for a in auts if all(a[p] == p for p in path)]
                 if fixing:
-                    seen = {v}
-                    stack = [v]
-                    hit = False
-                    while stack and not hit:
-                        x = stack.pop()
-                        for a in fixing:
-                            y = a[x]
-                            if y in done:
-                                hit = True
-                                break
-                            if y not in seen:
-                                seen.add(y)
-                                stack.append(y)
-                    if hit:
+                    mins = orbit_mins(n, fixing)
+                    if any(mins[u] == mins[v] for u in done):
                         continue
             split = [2 * c + 1 for c in colors]
             split[v] = 2 * colors[v]
@@ -153,17 +183,24 @@ def _canonicalize(n: int, adj: tuple[int, ...]):
     return tuple(best_cols), best_order, auts
 
 
-def canonical_labeling(g: Graph) -> tuple[tuple[int, ...], bytes]:
-    """(order, key) where order[i] is the original vertex at canonical position i."""
+def canonical_form(g: Graph) -> tuple[tuple[int, ...], bytes, list[tuple[int, ...]]]:
+    """(order, key, auts): order[i] is the original vertex at canonical
+    position i, key the canonical key, and auts non-identity automorphisms
+    (aut[v] is the image of v) that generate the whole automorphism group."""
     if g.n > CANON_MAX:
         raise ValueError(f"canonicalization supports n <= {CANON_MAX}, got {g.n}")
-    cols, order, _ = _canonicalize(g.n, g.adj)
-    return order, bytes([g.n, *pack_upper_triangle((0, *cols), 8)])
+    cols, order, auts = _canonicalize(g.n, g.adj)
+    return order, bytes([g.n, *pack_upper_triangle((0, *cols), 8)]), auts
+
+
+def canonical_labeling(g: Graph) -> tuple[tuple[int, ...], bytes]:
+    """(order, key) where order[i] is the original vertex at canonical position i."""
+    return canonical_form(g)[:2]
 
 
 def canonical_key(g: Graph) -> bytes:
     """Isomorphism-invariant byte string; equal keys iff isomorphic graphs."""
-    return canonical_labeling(g)[1]
+    return canonical_form(g)[1]
 
 
 def is_isomorphic(a: Graph, b: Graph) -> bool:

@@ -1,28 +1,44 @@
-"""Exhaustive enumeration of graphs, exactly one per isomorphism class.
+"""Exhaustive enumeration of graphs, exactly one per isomorphism class, by
+canonical augmentation (McKay 1998, "Isomorph-free exhaustive generation").
 
 Each n-vertex class is produced by extending an (n-1)-vertex representative
-with one new vertex over all neighbourhoods, and a child survives only when
-the new vertex is a canonical deletion: it must minimize the invariant triple
-(degree, sorted neighbour-degree profile, canonical key of the deleted graph)
-over all vertices. Only inv-tied candidates ever reach a key comparison, so
-the common case runs on degree arithmetic alone. Children of one parent that
-are isomorphic to each other (possible when the parent has symmetries) are
-removed by a per-parent canonical-key check, bucketed by fingerprint so keys
-are only computed on collisions.
+with one new vertex. The parent is labelled once, and its automorphism group
+decides which neighbourhoods to try: one per orbit of the group on vertex
+subsets, the smallest of each (every subset when the group is trivial).
+
+A child survives only when its new vertex is a canonical deletion: among the
+vertices of least (degree, sorted neighbour-degree profile), the first in
+the child's canonical order is w, and the new vertex must lie in w's orbit
+under the child's automorphisms. When the new vertex is the only vertex of
+least (degree, profile), the degree arithmetic decides and no labelling is
+made; otherwise the child is labelled once. Both sides need the whole
+automorphism group, which `canon` guarantees.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from .canon import canonical_key
+# canonical_key and induced_subgraph stay bound for perfbench/tracing.py.
+from .canon import canonical_form, canonical_key, orbit_mins
 from .graphs import Graph, induced_subgraph
-from .invariants import triangle_count
 
 ENUM_MAX = 10
+# Changes whenever a level is listed in another order; checkpoint journals
+# record it, since their chunks cut a level by position.
+ENUMERATOR_VERSION = 2
 _CACHE_MAX = 8
 
 _cache: dict[int, list[Graph]] = {}
+
+
+def _subset_images(perm: tuple[int, ...]) -> list[int]:
+    """images[s] is the image of vertex subset s under perm."""
+    images = [0] * (1 << len(perm))
+    for s in range(1, len(images)):
+        low = s & -s
+        images[s] = images[s ^ low] | (1 << perm[low.bit_length() - 1])
+    return images
 
 
 def children_of(parent: Graph) -> list[Graph]:
@@ -31,15 +47,18 @@ def children_of(parent: Graph) -> list[Graph]:
     padj = parent.adj
     pdeg = [a.bit_count() for a in padj]
     vbit = 1 << pn
-    full_child = (1 << (pn + 1)) - 1
     min_pdeg = min(pdeg) if pn else 0
     min_verts = 0
     for u in range(pn):
         if pdeg[u] == min_pdeg:
             min_verts |= 1 << u
 
-    parent_key: bytes | None = None
-    parent_tri = triangle_count(parent) if pn >= 3 else 0
+    auts = canonical_form(parent)[2]
+    if auts:
+        mins = orbit_mins(1 << pn, [_subset_images(a) for a in auts])
+        neighbourhoods = [nb for nb, m in enumerate(mins) if nb == m]
+    else:
+        neighbourhoods = range(1 << pn)
 
     def profile(rows: tuple[int, ...], cd: list[int], u: int) -> tuple[int, ...]:
         row = rows[u]
@@ -52,9 +71,7 @@ def children_of(parent: Graph) -> list[Graph]:
         return tuple(acc)
 
     out: list[Graph] = []
-    buckets: dict[tuple, list[list]] = {}
-
-    for nb in range(1 << pn):
+    for nb in neighbourhoods:
         dv = nb.bit_count()
         # The new vertex must be degree-minimal in the child.
         if dv > min_pdeg + 1:
@@ -95,41 +112,15 @@ def children_of(parent: Graph) -> list[Graph]:
             if reject:
                 continue
             if hard:
-                if parent_key is None:
-                    parent_key = canonical_key(parent)
-                for u in hard:
-                    ku = canonical_key(induced_subgraph(child, full_child ^ (1 << u)))
-                    if ku < parent_key:
-                        reject = True
-                        break
-                if reject:
-                    continue
-
-        # Per-parent isomorph rejection: children sharing a fingerprint are
-        # disambiguated by canonical key, computed lazily.
-        extra = 0
-        rest = nb
-        while rest:
-            b = rest & -rest
-            extra += (padj[b.bit_length() - 1] & nb).bit_count()
-            rest ^= b
-        fp = (tuple(sorted(cd)), parent_tri + extra // 2)
-        bucket = buckets.get(fp)
-        if bucket is None:
-            buckets[fp] = [[None, child]]
-            out.append(child)
-            continue
-        ck = canonical_key(child)
-        dup = False
-        for entry in bucket:
-            if entry[0] is None:
-                entry[0] = canonical_key(entry[1])
-            if entry[0] == ck:
-                dup = True
-                break
-        if not dup:
-            bucket.append([ck, child])
-            out.append(child)
+                # Accept iff the new vertex is in the orbit of the first
+                # tied vertex of the child's canonical order.
+                order, _, child_auts = canonical_form(child)
+                w = next(x for x in order if x == pn or x in hard)
+                if w != pn:
+                    mins = orbit_mins(pn + 1, child_auts)
+                    if mins[w] != mins[pn]:
+                        continue
+        out.append(child)
 
     return out
 

@@ -10,7 +10,9 @@ parents and each worker expands its chunk into children before evaluating
 them. Results are merged in submission order, so output is identical for
 every worker count. The final level can checkpoint into an append-only
 journal: a JSON header line naming the sweep (task, class, level = max_n,
-chunk size), then one JSON line [visited, lines, bscans] per completed chunk.
+chunk size, and the enumerator version, since the chunks depend on the
+order in which enumeration lists a level), then one JSON line
+[visited, lines, bscans] per completed chunk.
 A rerun adds the journaled results like fresh ones and runs only the chunks
 after them; a journal for another sweep, in the old graph6-plus-cursor
 format, or with a malformed line other than a torn last one is refused with
@@ -29,7 +31,13 @@ from itertools import groupby
 from typing import Callable, Iterable, Iterator
 
 from .canon import canonical_key
-from .enumeration import _CACHE_MAX, children_of, graphs_of_order, stream_graphs
+from .enumeration import (
+    _CACHE_MAX,
+    ENUMERATOR_VERSION,
+    children_of,
+    graphs_of_order,
+    stream_graphs,
+)
 from .family import build_conjecture_family, build_family
 from .graph6 import emit_graph6, parse_graph6
 from .graphs import Graph, delete_vertex
@@ -243,8 +251,8 @@ def _sweep(chunk, class_name: str, max_n: int, jobs: int,
         raise ValueError("a checkpoint resumes enumerated levels, not a source stream")
     cp = None
     if checkpoint:
-        header = {"task": chunk.__name__, "class": class_name,
-                  "level": max_n, "chunk_size": chunk_size}
+        header = {"task": chunk.__name__, "class": class_name, "level": max_n,
+                  "chunk_size": chunk_size, "enumerator": ENUMERATOR_VERSION}
         cp = _open_journal(checkpoint, header)
 
     visited_by_order: dict[int, int] = {}

@@ -55,6 +55,26 @@ def brute_matching(g: Graph) -> int:
     return best
 
 
+def branching_matching(g: Graph) -> int:
+    """Maximum matching by branching on the lowest non-isolated vertex
+    (left unmatched, or matched to each neighbour), memoised per vertex set."""
+    memo: dict[int, int] = {}
+
+    def go(mask: int) -> int:
+        live = [v for v in range(g.n) if (mask >> v) & 1 and g.adj[v] & mask]
+        if not live:
+            return 0
+        if mask not in memo:
+            v = live[0]
+            rest = mask & ~(1 << v)
+            memo[mask] = max([go(rest)] + [
+                1 + go(rest & ~(1 << u)) for u in range(g.n) if (g.adj[v] & rest) >> u & 1
+            ])
+        return memo[mask]
+
+    return go(g.vertex_mask())
+
+
 def brute_triangles(g: Graph) -> int:
     return sum(
         1

@@ -2,11 +2,19 @@ from __future__ import annotations
 
 import random
 from itertools import permutations
+from math import comb, factorial
 
 import pytest
 
 from oracles import brute_is_isomorphic, labeled_graphs
-from sumperfect.canon import canonical_key, canonical_labeling, is_isomorphic
+from sumperfect.canon import (
+    canonical_form,
+    canonical_key,
+    canonical_labeling,
+    is_isomorphic,
+    orbit_mins,
+)
+from sumperfect.enumeration import graphs_of_order
 from sumperfect.graph6 import pack_upper_triangle
 from sumperfect.graphs import (
     Graph,
@@ -111,6 +119,54 @@ def test_key_is_the_graph6_bit_order_of_the_canonical_relabelling():
         order, key = canonical_labeling(g)
         canon = _relabel(g, tuple(order.index(v) for v in range(n)))
         assert key == bytes([n, *pack_upper_triangle(canon.adj, 8)])
+
+
+def _group_order(n: int, gens) -> int:
+    """Order of the permutation group the generators generate, by closure."""
+    identity = tuple(range(n))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for a in gens:
+                q = tuple(a[x] for x in p)
+                if q not in seen:
+                    seen.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return len(seen)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_automorphisms_generate_the_whole_group(n):
+    # Orbit counting: the labelled graphs on n vertices split into classes of
+    # size n!/|Aut(G)|. Each found group is a subgroup of Aut(G), so each term
+    # is at least the true one, and the sum matches only if every found list
+    # generates the whole group (and enumeration lists each class once).
+    total = 0
+    for g in graphs_of_order(n):
+        order = _group_order(n, canonical_form(g)[2])
+        assert factorial(n) % order == 0
+        total += factorial(n) // order
+    assert total == 2 ** comb(n, 2)
+
+
+def test_canonical_form_automorphisms_preserve_edges(small_corpus):
+    for g in small_corpus[6] + small_corpus[7]:
+        order, key, auts = canonical_form(g)
+        assert (order, key) == canonical_labeling(g)
+        for a in auts:
+            assert a != tuple(range(g.n))
+            assert all(g.has_edge(a[u], a[v]) for u, v in g.edges())
+
+
+def test_orbit_mins():
+    assert orbit_mins(0, []) == []
+    assert orbit_mins(4, []) == [0, 1, 2, 3]
+    assert orbit_mins(6, [(1, 0, 2, 3, 4, 5), (0, 1, 2, 5, 3, 4)]) == [0, 0, 2, 3, 3, 3]
+    c5 = cycle_graph(5)
+    assert orbit_mins(5, canonical_form(c5)[2]) == [0] * 5
 
 
 def test_envelope_error():

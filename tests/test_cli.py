@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
 from sumperfect.cli import main
 from sumperfect.graph6 import emit_graph6, parse_graph6
-from sumperfect.graphs import cycle_graph
+from sumperfect.graphs import cycle_graph, from_edge_list
 
 
 def run(capsys, *argv):
@@ -57,6 +58,19 @@ def test_analyze_json(tmp_path, capsys, c5):
     assert rec["sum_perfect"] is False
     assert rec["forbidden_name"] == "C5" and rec["forbidden_index"] == 1
     assert rec["nu"] == 2 and rec["tau"] == 3 and rec["triangles"] == 0
+
+
+def test_analyze_json_on_random_31_vertex_host(tmp_path, capsys):
+    # A G(31, 0.5) host like those of the benchmark's recognition corpus.
+    rng = random.Random(31)
+    g = from_edge_list(31, [(i, j) for i in range(31) for j in range(i + 1, 31)
+                            if rng.random() < 0.5])
+    path = tmp_path / "in.g6"
+    path.write_text(emit_graph6(g) + "\n")
+    code, out, err = run(capsys, "analyze", str(path), "--format", "json")
+    assert code == 0 and not err
+    rec = json.loads(out.strip())
+    assert rec["n"] == 31 and rec["nu"] == 15
 
 
 def test_analyze_k33(tmp_path, capsys, k33):

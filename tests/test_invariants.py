@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from oracles import (
+    branching_matching,
     brute_alpha,
     brute_matching,
     brute_max_deficiency,
@@ -173,6 +174,12 @@ def test_matching_triangles_vs_oracle(small_corpus):
         for g in small_corpus[n]:
             assert matching_number(g) == brute_matching(g)
             assert triangle_count(g) == brute_triangles(g)
+
+
+def test_matching_matches_branching_oracle(small_corpus):
+    for n in range(0, 8):
+        for g in small_corpus[n]:
+            assert matching_number(g) == branching_matching(g)
 
 
 def test_gallai_and_duality(small_corpus):

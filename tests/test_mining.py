@@ -189,6 +189,25 @@ def test_checkpoint_rejects_mismatched_params(tmp_path):
         verify_conjecture(6, checkpoint=other)
 
 
+def test_checkpoint_refuses_journal_of_previous_enumerator(tmp_path):
+    # A journal as written before the enumerator version joined the header:
+    # its chunks cut a level listed in another order, so resuming over it
+    # could skip graphs and still pass.
+    import json
+
+    from sumperfect.cli import main
+
+    path = tmp_path / "old.ckpt"
+    header = {"chunk_size": 512, "class": "sum-perfect", "level": 6, "task": "_mine_chunk"}
+    path.write_text(json.dumps(header, sort_keys=True) + "\n[156, [], 0]\n")
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="was written for"):
+        mine_forbidden("sum-perfect", 6, checkpoint=str(path))
+    assert main(["mine", "--class", "sum-perfect", "--max-n", "6",
+                 "--checkpoint", str(path)]) == 2
+    assert path.read_bytes() == before
+
+
 def test_mine_source_jobs_agree(tmp_path):
     from sumperfect.enumeration import graphs_of_order
 

@@ -1,10 +1,13 @@
-"""Independent oracles from networkx, checked on every graph with n <= 7.
+"""Independent oracles from networkx, checked on every graph with n <= 7 and
+on seeded random graphs.
 
 networkx is only a test dependency; these tests skip when it is missing, so
 the package itself stays stdlib-only.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
@@ -14,7 +17,7 @@ from sumperfect.canon import canonical_key
 from sumperfect.enumeration import graphs_of_order
 from sumperfect.graph6 import emit_graph6, parse_graph6
 from sumperfect.graphs import Graph, from_edge_list
-from sumperfect.invariants import clique_number, stability_number
+from sumperfect.invariants import clique_number, matching_number, stability_number
 
 
 @pytest.fixture(scope="module")
@@ -50,3 +53,15 @@ def test_clique_and_stability_numbers_match_networkx(atlas):
         assert nx.max_weight_clique(G, weight=None)[1] == clique_number(g)
         co = nx.complement(G)
         assert nx.max_weight_clique(co, weight=None)[1] == stability_number(g)
+
+
+def test_matching_number_matches_networkx():
+    rng = random.Random(40)
+    for n in range(0, 41):
+        for p in (0.1, 0.3, 0.5, 0.8):
+            edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+            G = nx.Graph()
+            G.add_nodes_from(range(n))
+            G.add_edges_from(edges)
+            expect = len(nx.max_weight_matching(G, maxcardinality=True))
+            assert matching_number(from_edge_list(n, edges)) == expect
