@@ -220,45 +220,52 @@ def _subset_dp(g: Graph, bound: list[list[int]],
                stop: int | None) -> tuple[int, int | None]:
     """Max of |S| - bound[alpha(S)][omega(S)] over non-empty induced subgraphs.
 
-    Tabulates alpha and omega for every vertex subset bottom-up. When `stop`
-    is given, returns as soon as some subset exceeds it, together with that
-    subset; otherwise scans everything and reports the maximizing subset.
+    Tabulates alpha and omega for every vertex subset bottom-up, growing each
+    subset S from S - v for its highest vertex v: alpha(S) is the larger of
+    alpha(S - v) and 1 + alpha(S minus v's neighbours), omega(S) of
+    omega(S - v) and 1 + omega(S among v's neighbours).
+
+    Returns (value, mask). Subsets are visited in ascending mask order, and
+    the mask kept is the first whose value exceeds both -1 and every earlier
+    value. So with `stop` None the scan covers every subset and reports the
+    smallest mask attaining the maximum (None if the maximum is -1). With
+    `stop` >= -1 it returns at the first, i.e. smallest, mask whose value
+    exceeds `stop`, and if none does it ends as with None. Mining relies on
+    this first hit: the full vertex set, the largest mask, is the first hit
+    iff no other subset exceeds `stop`.
     """
     n = g.n
     if n == 0:
         return 0, None
     if n > DEFICIENCY_MAX:
         raise ValueError(f"subgraph scan supports n <= {DEFICIENCY_MAX}, got {n}")
-    adj = g.adj
-    cadj = complement(g).adj
-    aclosed = [adj[v] | (1 << v) for v in range(n)]
-    wclosed = [cadj[v] | (1 << v) for v in range(n)]
     size = 1 << n
     at = [0] * size
     wt = [0] * size
     pc = [0] * size
     best = -1
     best_mask: int | None = None
-    for s in range(1, size):
-        b = s & -s
-        v = b.bit_length() - 1
-        rest = s ^ b
-        a1 = at[rest]
-        a2 = at[s & ~aclosed[v]] + 1
-        a = a1 if a1 >= a2 else a2
-        at[s] = a
-        w1 = wt[rest]
-        w2 = wt[s & ~wclosed[v]] + 1
-        w = w1 if w1 >= w2 else w2
-        wt[s] = w
-        p = pc[rest] + 1
-        pc[s] = p
-        d = p - bound[a][w]
-        if d > best:
-            best = d
-            best_mask = s
-            if stop is not None and d > stop:
-                return best, best_mask
+    for v, row in enumerate(g.adj):
+        bit = 1 << v
+        away = ~row
+        for rest in range(bit):
+            s = rest | bit
+            a1 = at[rest]
+            a2 = at[rest & away] + 1
+            a = a1 if a1 >= a2 else a2
+            at[s] = a
+            w1 = wt[rest]
+            w2 = wt[rest & row] + 1
+            w = w1 if w1 >= w2 else w2
+            wt[s] = w
+            p = pc[rest] + 1
+            pc[s] = p
+            d = p - bound[a][w]
+            if d > best:
+                best = d
+                best_mask = s
+                if stop is not None and d > stop:
+                    return best, best_mask
     return best, best_mask
 
 

@@ -1,8 +1,14 @@
 """Minimal forbidden induced subgraph mining and the verification harnesses.
 
 A hereditary class predicate is mined by visiting every isomorphism class up
-to a target order and keeping the graphs that fail the predicate while all
-one-vertex deletions satisfy it (heredity makes single deletions sufficient).
+to a target order and keeping the graphs that fail the predicate while every
+proper induced subgraph satisfies it. For the classes the subset DP decides
+(sum-perfect, perfect, deficiency:C) one DP pass per graph settles both: the
+DP visits vertex subsets in ascending mask order and stops at the first that
+breaks the class, so g is a member iff there is none, and minimal forbidden
+iff it is the full vertex set, the largest mask, since any other lies inside
+some g - v. Threshold has no DP form; by heredity it is enough that each
+one-vertex deletion satisfies it, and each is tested.
 Sweeps can run across worker processes. Levels up to enumeration's
 _CACHE_MAX (8) are enumerated in the main process and cut into chunks that
 the workers only evaluate; above it, the level below is cut into chunks of
@@ -28,7 +34,7 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .canon import canonical_key
 from .enumeration import (
@@ -43,6 +49,11 @@ from .graph6 import emit_graph6, parse_graph6
 from .graphs import Graph, delete_vertex
 from .induced import PatternSet
 from .invariants import (
+    _PRODUCT_BOUND,
+    _SUM_BOUND,
+    DEFICIENCY_MAX,
+    LOVASZ_MAX,
+    _subset_dp,
     clique_number,
     has_deficiency_above,
     is_perfect_lovasz,
@@ -65,29 +76,59 @@ class ClassPredicate:
     fn: Callable[[Graph], bool]
 
 
-def get_predicate(name: str) -> ClassPredicate:
-    """Resolve a predicate name: sum-perfect, threshold, perfect, deficiency:C."""
-    if name == "sum-perfect":
-        return ClassPredicate(name, is_sum_perfect_definitional)
+class _SubsetForm(NamedTuple):
+    """g is a member iff every non-empty induced subgraph S has
+    |S| - bound[alpha(S)][omega(S)] <= stop; the scan takes n <= max_n."""
+
+    bound: list[list[int]]
+    stop: int
+    max_n: int
+
+
+def _resolve(name: str) -> tuple[Callable[[Graph], bool] | None, _SubsetForm | None]:
+    """(membership fn, subset-DP form or None) of a class; (None, None) if unknown."""
     if name == "threshold":
-        return ClassPredicate(name, is_threshold)
+        return is_threshold, None
+    if name == "sum-perfect":
+        return is_sum_perfect_definitional, _SubsetForm(_SUM_BOUND, 0, DEFICIENCY_MAX)
     if name == "perfect":
-        return ClassPredicate(name, is_perfect_lovasz)
+        return is_perfect_lovasz, _SubsetForm(_PRODUCT_BOUND, 0, LOVASZ_MAX)
     if name.startswith("deficiency:"):
         c = int(name.split(":", 1)[1])
         if c < 0:
             raise ValueError("deficiency parameter must be >= 0")
-        return ClassPredicate(name, lambda g: not has_deficiency_above(g, c))
-    raise ValueError(f"unknown class predicate {name!r}")
+        form = _SubsetForm(_SUM_BOUND, c, DEFICIENCY_MAX)
+        return (lambda g: not has_deficiency_above(g, c)), form
+    return None, None
+
+
+def get_predicate(name: str) -> ClassPredicate:
+    """Resolve a predicate name: sum-perfect, threshold, perfect, deficiency:C."""
+    fn = _resolve(name)[0]
+    if fn is None:
+        raise ValueError(f"unknown class predicate {name!r}")
+    return ClassPredicate(name, fn)
 
 
 def is_minimal_forbidden(pred: ClassPredicate, g: Graph) -> bool:
     """True iff g fails the class but every one-vertex deletion satisfies it."""
-    return not pred.fn(g) and _deletions_satisfy(pred.fn, g)
+    return _verdict(_resolve(pred.name)[1], pred.fn, g)[1]
 
 
-def _deletions_satisfy(fn, g: Graph) -> bool:
-    return all(fn(delete_vertex(g, v)) for v in range(g.n))
+def _verdict(form: _SubsetForm | None, fn: Callable[[Graph], bool],
+             g: Graph) -> tuple[bool, bool]:
+    """(member, minimal forbidden) of g: one subset-DP pass if the class has
+    a form (see the module docstring), else fn on g and its deletions."""
+    if form is None:
+        if fn(g):
+            return True, False
+        return False, all(fn(delete_vertex(g, v)) for v in range(g.n))
+    if g.n > form.max_n:
+        raise ValueError(f"subgraph scan supports n <= {form.max_n}, got {g.n}")
+    value, mask = _subset_dp(g, form.bound, form.stop)
+    if value <= form.stop:
+        return True, False
+    return False, mask == g.vertex_mask()
 
 
 # Conjecture machinery ---------------------------------------------------------
@@ -111,18 +152,21 @@ def _conjecture_visit(g: Graph) -> tuple[bool, str | None]:
 
 def _mine_chunk(class_name: str, graphs: list[Graph]) -> tuple[list[str], int]:
     """Minimal forbidden graphs among graphs, with a sampled heredity check."""
+    # fn comes through get_predicate, where a predicate can be substituted;
+    # a substitute without a known class name gets no DP form.
     fn = get_predicate(class_name).fn
+    form = _resolve(class_name)[1]
     lines: list[str] = []
     sampled = False
     for i, g in enumerate(graphs):
-        if fn(g):
+        member, minimal = _verdict(form, fn, g)
+        if member:
             # sampled heredity check: members stay members under deletion
             if g.n and (not sampled or (i & 127) == 0):
                 sampled = True
                 if not fn(delete_vertex(g, 0)):
                     raise AssertionError(f"predicate {class_name!r} is not hereditary")
-            continue
-        if _deletions_satisfy(fn, g):
+        elif minimal:
             lines.append(emit_graph6(g))
     return lines, 0
 

@@ -153,3 +153,30 @@ def brute_is_split(g: Graph) -> bool:
         ):
             return True
     return False
+
+
+def brute_subset_alpha_omega(g: Graph) -> list[tuple[int, int, int]]:
+    """(|S|, alpha(S), omega(S)) for every vertex mask S, alpha and omega by
+    trying every sub-mask of S."""
+    size = 1 << g.n
+    stable = [True] * size
+    clique = [True] * size
+    for t in range(1, size):
+        low = t & -t
+        rest = t ^ low
+        row = g.adj[low.bit_length() - 1]
+        stable[t] = stable[rest] and not row & rest
+        clique[t] = clique[rest] and row & rest == rest
+    out = []
+    for s in range(size):
+        alpha = omega = 0
+        t = s
+        while t:
+            k = t.bit_count()
+            if stable[t] and k > alpha:
+                alpha = k
+            if clique[t] and k > omega:
+                omega = k
+            t = (t - 1) & s
+        out.append((s.bit_count(), alpha, omega))
+    return out

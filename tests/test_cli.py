@@ -8,6 +8,7 @@ import pytest
 from sumperfect.cli import main
 from sumperfect.graph6 import emit_graph6, parse_graph6
 from sumperfect.graphs import cycle_graph, from_edge_list
+from sumperfect.invariants import DEFICIENCY_MAX, LOVASZ_MAX
 
 
 def run(capsys, *argv):
@@ -207,6 +208,18 @@ def test_verify_envelope_usage_error(capsys):
     # Below order 7 the two 7-vertex members cannot appear.
     code, _, err = run(capsys, "verify", "theorem27", "--max-n", "6")
     assert code == 2 and "7..9" in err
+
+
+@pytest.mark.parametrize("cls, limit", [("perfect", LOVASZ_MAX),
+                                        ("sum-perfect", DEFICIENCY_MAX)])
+def test_mine_source_beyond_scan_envelope(tmp_path, capsys, cls, limit):
+    # A source graph one vertex past the class's subset-scan envelope is
+    # refused, not scanned, whatever --max-n says.
+    src = tmp_path / "big.g6"
+    src.write_text(emit_graph6(cycle_graph(limit + 1)) + "\n")
+    code, out, err = run(capsys, "mine", "--class", cls, "--max-n", "10",
+                         "--source", str(src))
+    assert code == 2 and out == "" and f"n <= {limit}" in err
 
 
 def test_mine_source_refuses_checkpoint(tmp_path, capsys, c5):

@@ -8,7 +8,9 @@ from oracles import (
     brute_matching,
     brute_max_deficiency,
     brute_omega,
+    brute_subset_alpha_omega,
     brute_triangles,
+    labeled_graphs,
 )
 from sumperfect.graphs import (
     Graph,
@@ -23,8 +25,11 @@ from sumperfect.graphs import (
     star_graph,
 )
 from sumperfect.invariants import (
+    _PRODUCT_BOUND,
+    _SUM_BOUND,
     InvariantReport,
     StableCliquePair,
+    _subset_dp,
     clique_number,
     compute_report,
     deficit,
@@ -221,3 +226,28 @@ def test_threshold_vs_deficiency_equivalence(small_corpus):
         for g in small_corpus[n]:
             assert (max_deficiency(g) == -1) == is_threshold(g)
             assert (max_deficiency(g) <= 0) == is_sum_perfect_definitional(g)
+
+
+def _first_hit(values: list[int], stop: int | None) -> tuple[int, int | None]:
+    """What _subset_dp must return, read off the values of all masks."""
+    if len(values) == 1:
+        return 0, None
+    if stop is not None:
+        for mask in range(1, len(values)):
+            if values[mask] > stop:
+                return values[mask], mask
+    top = max(values[1:])
+    return top, (values.index(top, 1) if top > -1 else None)
+
+
+def test_subset_dp_returns_the_first_mask_in_ascending_order(small_corpus):
+    # Mining decides minimality from which mask the DP stops at, so pin it:
+    # the smallest mask exceeding stop, else the smallest maximiser.
+    graphs = [g for n in range(8) for g in small_corpus[n]]
+    graphs += [g for n in range(7) for g in labeled_graphs(n)]
+    for g in graphs:
+        table = brute_subset_alpha_omega(g)
+        for bound in (_SUM_BOUND, _PRODUCT_BOUND):
+            values = [k - bound[a][w] for k, a, w in table]
+            for stop in (None, -1, 0, 1):
+                assert _subset_dp(g, bound, stop) == _first_hit(values, stop), (g, stop)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 import sumperfect.mining as mining
@@ -7,8 +9,10 @@ from sumperfect.canon import canonical_key
 from sumperfect.family import build_family
 from sumperfect.graph6 import emit_graph6
 from sumperfect.graphs import (
+    complement,
     complete_graph,
     cycle_graph,
+    delete_vertex,
     disjoint_union,
     from_edge_list,
     path_graph,
@@ -47,6 +51,35 @@ def test_minimal_forbidden_examples(c5):
     assert not is_minimal_forbidden(sp, disjoint_union(path_graph(6), complete_graph(1)))
     th = get_predicate("threshold")
     assert is_minimal_forbidden(th, from_edge_list(4, [(0, 1), (2, 3)]))
+
+
+def _verdict_cases(small_corpus):
+    """Every graph with n <= 7, cycles of 8..10 and their complements (holes
+    and antiholes minimal for several classes), and seeded random graphs."""
+    graphs = [g for n in range(1, 8) for g in small_corpus[n]]
+    for n in (8, 9, 10):
+        graphs += [cycle_graph(n), complement(cycle_graph(n))]
+    rng = random.Random(8)
+    for n in (8, 9, 10):
+        for _ in range(20):
+            p = rng.choice((0.2, 0.5, 0.8))
+            graphs.append(from_edge_list(
+                n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]))
+    return graphs
+
+
+@pytest.mark.parametrize("name", ["sum-perfect", "perfect", "deficiency:0",
+                                  "deficiency:1", "deficiency:2", "threshold"])
+def test_one_pass_verdict_matches_deletion_definition(small_corpus, name):
+    fn = get_predicate(name).fn
+    form = mining._resolve(name)[1]
+    minimal = 0
+    for g in _verdict_cases(small_corpus):
+        member = fn(g)
+        expected = (member, not member and all(fn(delete_vertex(g, v)) for v in range(g.n)))
+        assert mining._verdict(form, fn, g) == expected, (name, g)
+        minimal += expected[1]
+    assert minimal > 0
 
 
 def test_mine_threshold_obstructions(two_k2):
