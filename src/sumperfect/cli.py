@@ -354,9 +354,13 @@ def main(argv: list[str] | None = None) -> int:
         name, (lo, hi) = f"verify {args.target}", _VERIFY_ENVELOPE[args.target]
     elif args.command == "mine":
         name, (lo, hi) = "mine", _MINE_ENVELOPE
-    if args.command in ("verify", "mine") and not lo <= args.max_n <= hi:
-        print(f"error: {name} supports max-n in {lo}..{hi}", file=sys.stderr)
-        return EXIT_USAGE
+    if args.command in ("verify", "mine"):
+        if not lo <= args.max_n <= hi:
+            print(f"error: {name} supports max-n in {lo}..{hi}", file=sys.stderr)
+            return EXIT_USAGE
+        if args.jobs < 1:
+            print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         return args.fn(args)
     except (OSError, ValueError) as exc:

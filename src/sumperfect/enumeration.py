@@ -25,11 +25,14 @@ from .graphs import Graph, induced_subgraph
 
 ENUM_MAX = 10
 # Changes whenever a level is listed in another order; checkpoint journals
-# record it, since their chunks cut a level by position.
+# record it, since their records follow the graphs of one level by position.
 ENUMERATOR_VERSION = 2
+# Children are memoised for parents of order below this, so every level up
+# to order 8 is built once per process.
 _CACHE_MAX = 8
 
-_cache: dict[int, list[Graph]] = {}
+_ROOT = Graph(0, ())  # the root of the generation tree
+_memo: dict[Graph, list[Graph]] = {}
 
 
 def _subset_images(perm: tuple[int, ...]) -> list[int]:
@@ -125,30 +128,44 @@ def children_of(parent: Graph) -> list[Graph]:
     return out
 
 
-def graphs_of_order(n: int) -> list[Graph]:
-    """All non-isomorphic graphs on n vertices (cached up to n = 8)."""
-    if not 0 <= n <= ENUM_MAX:
-        raise ValueError(f"built-in enumeration supports n <= {ENUM_MAX}, got {n}")
-    cached = _cache.get(n)
-    if cached is not None:
-        return cached
-    if n == 0:
-        out = [Graph(0, ())]
-    else:
-        out = []
-        for parent in graphs_of_order(n - 1):
-            out.extend(children_of(parent))
-    if n <= _CACHE_MAX:
-        _cache[n] = out
+def _children(parent: Graph) -> list[Graph]:
+    """children_of(parent), memoised for parents of order < _CACHE_MAX."""
+    if parent.n >= _CACHE_MAX:
+        return children_of(parent)
+    out = _memo.get(parent)
+    if out is None:
+        out = _memo[parent] = children_of(parent)
     return out
 
 
-def stream_graphs(n: int) -> Iterator[Graph]:
-    """Stream the order-n representatives without materializing the level."""
+def check_order(n: int) -> None:
+    """Raise ValueError unless the built-in enumerator reaches order n."""
     if not 0 <= n <= ENUM_MAX:
         raise ValueError(f"built-in enumeration supports n <= {ENUM_MAX}, got {n}")
-    if n <= _CACHE_MAX:
-        yield from graphs_of_order(n)
+
+
+def graphs_of_order(n: int) -> list[Graph]:
+    """All non-isomorphic graphs on n vertices, in the order stream_graphs
+    lists them."""
+    return list(stream_graphs(n))
+
+
+def stream_graphs(n: int) -> Iterator[Graph]:
+    """Stream the order-n representatives: the children of each order-(n-1)
+    representative in turn, without materialising the level."""
+    check_order(n)
+    if n == 0:
+        yield _ROOT
         return
     for parent in stream_graphs(n - 1):
-        yield from children_of(parent)
+        yield from _children(parent)
+
+
+def descendants(root: Graph, max_n: int) -> Iterator[Graph]:
+    """Every graph below root in the generation tree, down to order max_n,
+    depth-first: each child is followed by its own descendants."""
+    check_order(max_n)
+    if root.n < max_n:
+        for child in _children(root):
+            yield child
+            yield from descendants(child, max_n)

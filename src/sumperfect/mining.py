@@ -9,20 +9,23 @@ breaks the class, so g is a member iff there is none, and minimal forbidden
 iff it is the full vertex set, the largest mask, since any other lies inside
 some g - v. Threshold has no DP form; by heredity it is enough that each
 one-vertex deletion satisfies it, and each is tested.
-Sweeps can run across worker processes. Levels up to enumeration's
-_CACHE_MAX (8) are enumerated in the main process and cut into chunks that
-the workers only evaluate; above it, the level below is cut into chunks of
-parents and each worker expands its chunk into children before evaluating
-them. Results are merged in submission order, so output is identical for
-every worker count. The final level can checkpoint into an append-only
-journal: a JSON header line naming the sweep (task, class, level = max_n,
-chunk size, and the enumerator version, since the chunks depend on the
-order in which enumeration lists a level), then one JSON line
-[visited, lines, bscans] per completed chunk.
-A rerun adds the journaled results like fresh ones and runs only the chunks
-after them; a journal for another sweep, in the old graph6-plus-cursor
-format, or with a malformed line other than a torn last one is refused with
-ValueError.
+A sweep to max_n cuts the generation tree at the split order
+s = min(_SPLIT, max_n - 1), as geng's res/mod splitting does: the main
+process visits orders 1..s itself, and each graph of order s is the root of
+one task that walks its subtree depth-first down to max_n, so workers
+enumerate as well as evaluate. A task returns (visited by order, lines,
+bscans); results are merged in root order, and the graph6 lines are only
+read as a set, so output is identical for every worker count. An external
+source stream is cut into chunk tasks by runs of equal order instead.
+An enumerated sweep can checkpoint into an append-only journal: a JSON
+header line naming the sweep (task, class, level = max_n, split, the number
+of subtree tasks, and the enumerator version, since records follow the
+roots by position), then one JSON line [visited by order, lines, bscans]
+per completed subtree, covering every order above the split. A rerun
+revisits orders up to the split, adds the journaled results like fresh
+ones and runs only the subtrees after them; a journal for another sweep, in
+an older format, with more records than tasks, or with a malformed line
+other than a torn last one is refused with ValueError.
 """
 
 from __future__ import annotations
@@ -37,12 +40,14 @@ from itertools import groupby
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .canon import canonical_key
+# children_of stays bound for perfbench/tracing.py; the walks call it
+# through enumeration's memo.
 from .enumeration import (
-    _CACHE_MAX,
     ENUMERATOR_VERSION,
+    check_order,
     children_of,
+    descendants,
     graphs_of_order,
-    stream_graphs,
 )
 from .family import build_conjecture_family, build_family
 from .graph6 import emit_graph6, parse_graph6
@@ -63,6 +68,7 @@ from .invariants import (
 from .recognition import check_threshold_theorem, is_threshold, is_threshold_by_obstructions
 
 _DEFAULT_CHUNK = 512
+_SPLIT = 6
 HC_MINE_MAX = 9
 
 
@@ -150,7 +156,7 @@ def _conjecture_visit(g: Graph) -> tuple[bool, str | None]:
 
 # Worker plumbing ---------------------------------------------------------------
 
-def _mine_chunk(class_name: str, graphs: list[Graph]) -> tuple[list[str], int]:
+def _mine_chunk(class_name: str, graphs: Iterable[Graph]) -> tuple[list[str], int]:
     """Minimal forbidden graphs among graphs, with a sampled heredity check."""
     # fn comes through get_predicate, where a predicate can be substituted;
     # a substitute without a known class name gets no DP form.
@@ -171,21 +177,36 @@ def _mine_chunk(class_name: str, graphs: list[Graph]) -> tuple[list[str], int]:
     return lines, 0
 
 
-def _conjecture_chunk(class_name: str, graphs: list[Graph]) -> tuple[list[str], int]:
+def _conjecture_chunk(class_name: str, graphs: Iterable[Graph]) -> tuple[list[str], int]:
     """Counterexamples among graphs and the B-scans run; class_name is unused."""
-    visits = [_conjecture_visit(g) for g in graphs]
-    return [cex for _, cex in visits if cex is not None], sum(s for s, _ in visits)
+    lines: list[str] = []
+    bscans = 0
+    for g in graphs:
+        scanned, cex = _conjecture_visit(g)
+        bscans += scanned
+        if cex is not None:
+            lines.append(cex)
+    return lines, bscans
 
 
-def _work(task) -> tuple[int, list[str], int]:
-    """Run one chunk task: expand the parents if asked, then call its chunk
-    function (_mine_chunk or _conjecture_chunk, which return the graph6 lines
-    found in visit order and the B-scans run). Returns (visited, lines, bscans).
+def _work(task) -> tuple[dict[int, int], list[str], int]:
+    """Run one task through its chunk function (_mine_chunk or
+    _conjecture_chunk, which return the graph6 lines found in visit order and
+    the B-scans run). A task (chunk, class, root, max_n) visits the subtree
+    below root down to order max_n; (chunk, class, graphs, None) visits the
+    listed graphs. Returns (visited by order, lines, bscans).
     """
-    chunk, class_name, expand, graphs = task
-    if expand:
-        graphs = [child for parent in graphs for child in children_of(parent)]
-    return (len(graphs), *chunk(class_name, graphs))
+    chunk, class_name, graphs, max_n = task
+    if max_n is not None:
+        graphs = descendants(graphs, max_n)
+    visited: dict[int, int] = {}
+
+    def counted() -> Iterator[Graph]:
+        for g in graphs:
+            visited[g.n] = visited.get(g.n, 0) + 1
+            yield g
+
+    return (visited, *chunk(class_name, counted()))
 
 
 def _chunked(items: list, size: int) -> list[list]:
@@ -193,12 +214,14 @@ def _chunked(items: list, size: int) -> list[list]:
 
 
 def _map_tasks(tasks: list, jobs: int) -> Iterator:
+    """Results of the tasks in order, from at most min(jobs, len(tasks))
+    worker processes (none for one task or one job)."""
     if jobs <= 1 or len(tasks) <= 1:
         for t in tasks:
             yield _work(t)
         return
     ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=jobs) as pool:
+    with ctx.Pool(processes=min(jobs, len(tasks))) as pool:
         yield from pool.imap(_work, tasks, chunksize=1)
 
 
@@ -207,10 +230,11 @@ def _map_tasks(tasks: list, jobs: int) -> Iterator:
 @dataclass
 class _Checkpoint:
     """A checkpoint journal as read back: its header, the results of the
-    chunks it records, in order, and the byte length of its complete lines."""
+    subtree tasks it records, in order, and the byte length of its complete
+    lines."""
 
     header: dict
-    results: list[tuple[int, list[str], int]]
+    results: list[tuple[dict[int, int], list[str], int]]
     end: int
 
     @property
@@ -223,14 +247,18 @@ class _Checkpoint:
 
 
 def _is_record(rec) -> bool:
-    return (isinstance(rec, list) and len(rec) == 3 and type(rec[0]) is type(rec[2]) is int
+    return (isinstance(rec, list) and len(rec) == 3 and type(rec[2]) is int
+            and isinstance(rec[0], dict)
+            and all(k.isdecimal() and type(v) is int for k, v in rec[0].items())
             and isinstance(rec[1], list) and all(isinstance(x, str) for x in rec[1]))
 
 
-def _load_checkpoint(path: str) -> _Checkpoint | None:
-    """Read a journal; None if the file is missing or empty. A last line
-    without its newline is a torn write: it is dropped, and end stops before
-    it so that appending cuts it off. Any other unreadable line is an error.
+def _load_checkpoint(path: str, expected: dict | None = None) -> _Checkpoint | None:
+    """Read a journal; None if the file is missing or empty. A header other
+    than expected (when given) is refused, even over records of an older
+    format. A last line without its newline is a torn write: it is dropped,
+    and end stops before it so that appending cuts it off. Any other
+    unreadable line is an error.
     """
     if not os.path.exists(path):
         return None
@@ -245,96 +273,88 @@ def _load_checkpoint(path: str) -> _Checkpoint | None:
         records = [json.loads(row) for row in rows[1:]]
     except ValueError:
         header = records = None
+    if isinstance(header, dict) and expected is not None and header != expected:
+        raise ValueError(
+            f"checkpoint {path!r} was written for {json.dumps(header, sort_keys=True)}, "
+            f"not {json.dumps(expected, sort_keys=True)}"
+        )
     if not isinstance(header, dict) or not all(map(_is_record, records)):
         raise ValueError(
             f"checkpoint {path!r} is not a readable checkpoint journal; "
             "delete it to start over"
         )
-    return _Checkpoint(header, [tuple(rec) for rec in records], end)
+    results = [({int(k): v for k, v in visited.items()}, found, scanned)
+               for visited, found, scanned in records]
+    return _Checkpoint(header, results, end)
 
 
 def _open_journal(path: str, header: dict) -> _Checkpoint:
     """Load the journal at path for this sweep, or start one with its header."""
-    cp = _load_checkpoint(path)
+    cp = _load_checkpoint(path, header)
     if cp is None:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(json.dumps(header, sort_keys=True) + "\n")
         return _Checkpoint(header, [], 0)
-    if cp.header != header:
+    if cp.next_chunk > header["tasks"]:
         raise ValueError(
-            f"checkpoint {path!r} was written for {json.dumps(cp.header, sort_keys=True)}, "
-            f"not {json.dumps(header, sort_keys=True)}"
+            f"checkpoint {path!r} records {cp.next_chunk} subtrees, "
+            f"but the sweep has only {header['tasks']}"
         )
     with open(path, "r+b") as fh:
         fh.truncate(cp.end)
     return cp
 
 
-# Level sweeps -------------------------------------------------------------------
-
-def _level_tasks(chunk, class_name: str, n: int, chunk_size: int) -> list[tuple]:
-    """Chunk tasks covering every graph of order n exactly once."""
-    if n <= _CACHE_MAX:
-        return [(chunk, class_name, False, c)
-                for c in _chunked(graphs_of_order(n), chunk_size)]
-    parents = list(stream_graphs(n - 1))
-    return [(chunk, class_name, True, c)
-            for c in _chunked(parents, max(1, chunk_size // 8))]
-
+# Sweeps -------------------------------------------------------------------------
 
 def _sweep(chunk, class_name: str, max_n: int, jobs: int,
            checkpoint: str | None, chunk_size: int,
            source: Iterable[Graph] | None):
     """Visit every graph of order 1..max_n (or of an external stream) once.
 
-    Each level, or run of equal order in the stream, is cut into chunk tasks
-    whose results, journaled ones first, go through add in submission order,
-    so lines keep visit order. Returns (visited_by_order, lines, bscans).
+    An enumerated sweep visits the orders up to the split here and runs one
+    task per subtree below it (see the module docstring); a stream is cut
+    into chunk tasks by runs of equal order. Task results, journaled ones
+    first, go through add in task order, so lines keep visit order. Returns
+    (visited_by_order, lines, bscans).
     """
-    if source is not None and checkpoint:
-        raise ValueError("a checkpoint resumes enumerated levels, not a source stream")
-    cp = None
-    if checkpoint:
-        header = {"task": chunk.__name__, "class": class_name, "level": max_n,
-                  "chunk_size": chunk_size, "enumerator": ENUMERATOR_VERSION}
-        cp = _open_journal(checkpoint, header)
-
     visited_by_order: dict[int, int] = {}
     lines: list[str] = []
     bscans = 0
 
-    def add(n: int, result: tuple[int, list[str], int]) -> None:
+    def add(result: tuple[dict[int, int], list[str], int]) -> None:
         nonlocal bscans
         visited, found, scanned = result
-        visited_by_order[n] = visited_by_order.get(n, 0) + visited
+        for n, count in visited.items():
+            visited_by_order[n] = visited_by_order.get(n, 0) + count
         lines.extend(found)
         bscans += scanned
 
+    done: list = []
     if source is not None:
-        levels = (
-            (n, [(chunk, class_name, False, c) for c in _chunked(list(run), chunk_size)])
-            for n, run in groupby(source, key=lambda g: g.n)
-        )
+        if checkpoint:
+            raise ValueError("a checkpoint resumes enumerated sweeps, not a source stream")
+        tasks = [(chunk, class_name, c, None)
+                 for _, run in groupby(source, key=lambda g: g.n)
+                 for c in _chunked(list(run), chunk_size)]
     else:
-        levels = (
-            (n, _level_tasks(chunk, class_name, n, chunk_size))
-            for n in range(1, max_n + 1)
-        )
-    for n, tasks in levels:
-        journaled = cp is not None and n == max_n
-        done = cp.results if journaled else []
-        if len(done) > len(tasks):
-            raise ValueError(
-                f"checkpoint {checkpoint!r} records {len(done)} chunks, "
-                f"but level {n} has only {len(tasks)}"
-            )
-        for result in done:
-            add(n, result)
-        for result in _map_tasks(tasks[len(done):], jobs):
-            add(n, result)
-            if journaled:
-                with open(checkpoint, "a", encoding="ascii") as fh:
-                    fh.write(json.dumps(result) + "\n")
+        check_order(max_n)
+        split = max(0, min(_SPLIT, max_n - 1))
+        tasks = [(chunk, class_name, root, max_n) for root in graphs_of_order(split)]
+        if checkpoint:
+            header = {"task": chunk.__name__, "class": class_name, "level": max_n,
+                      "split": split, "tasks": len(tasks),
+                      "enumerator": ENUMERATOR_VERSION}
+            done = _open_journal(checkpoint, header).results
+        for n in range(1, split + 1):
+            add(_work((chunk, class_name, graphs_of_order(n), None)))
+    for result in done:
+        add(result)
+    for result in _map_tasks(tasks[len(done):], jobs):
+        add(result)
+        if checkpoint:
+            with open(checkpoint, "a", encoding="ascii") as fh:
+                fh.write(json.dumps(result) + "\n")
     return visited_by_order, lines, bscans
 
 
@@ -369,7 +389,8 @@ def mine_forbidden(class_name: str, max_n: int, *, jobs: int = 1,
     """All minimal forbidden graphs for the class, up to order max_n.
 
     Certificates are deduplicated by canonical key and ordered by
-    (order, key), making the output independent of worker count.
+    (order, key), making the output independent of worker count. chunk_size
+    only cuts a source stream; enumerated sweeps run one task per subtree.
     """
     get_predicate(class_name)  # validate the name before sweeping
     start = time.monotonic()
@@ -444,10 +465,9 @@ class Theorem27Report:
         )
 
 
-def verify_theorem_27(max_n: int = 8, *, jobs: int = 1,
-                      chunk_size: int = _DEFAULT_CHUNK) -> Theorem27Report:
+def verify_theorem_27(max_n: int = 8, *, jobs: int = 1) -> Theorem27Report:
     """Mine the sum-perfect obstructions and compare them with the built family."""
-    result = mine_forbidden("sum-perfect", max_n, jobs=jobs, chunk_size=chunk_size)
+    result = mine_forbidden("sum-perfect", max_n, jobs=jobs)
     fam = build_family()
     mined_small = {k for k, g in result.certificates if g.n <= 7}
     counts = result.counts_by_order

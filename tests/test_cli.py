@@ -175,6 +175,27 @@ def test_mine_bad_class(capsys):
     assert code == 2 and "unknown class" in err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("argv", [
+    ("mine", "--class", "threshold", "--max-n", "4"),
+    ("verify", "conjecture", "--max-n", "4"),
+    ("verify", "threshold", "--max-n", "4"),
+])
+def test_jobs_below_one_is_a_usage_error(capsys, argv, jobs):
+    code, out, err = run(capsys, *argv, "--jobs", jobs)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("cls", ["sum-perfect", "perfect", "threshold", "deficiency:1"])
+def test_mine_stdout_is_independent_of_jobs(capsys, cls):
+    outs = [run(capsys, "mine", "--class", cls, "--max-n", "7", "--jobs", jobs)
+            for jobs in ("1", "2")]
+    assert outs[0][0] == outs[1][0] == 0
+    assert outs[0][1] == outs[1][1]
+    assert len(outs[0][1].splitlines()) > 1  # certificates, then the summary
+
+
 def test_mine_from_source(tmp_path, capsys, c5):
     src = tmp_path / "src.g6"
     src.write_text(emit_graph6(c5) + "\n")

@@ -1,10 +1,19 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from oracles import labeled_graphs
 from sumperfect.canon import canonical_key
-from sumperfect.enumeration import children_of, graphs_of_order, stream_graphs
+from sumperfect.enumeration import (
+    ENUMERATOR_VERSION,
+    children_of,
+    descendants,
+    graphs_of_order,
+    stream_graphs,
+)
+from sumperfect.graph6 import emit_graph6
 from sumperfect.graphs import Graph
 
 # Non-isomorphic simple graph counts; the n <= 6 entries are re-derived from
@@ -47,7 +56,38 @@ def test_children_extend_parent():
 
 
 def test_stream_agrees_with_list():
-    assert list(stream_graphs(6)) == graphs_of_order(6)
+    for n in (6, 7):
+        assert list(stream_graphs(n)) == graphs_of_order(n)
+
+
+# sha256 over the graph6 lines ("<graph6>\n") of graphs_of_order(n) for
+# n = 0..7, in order, by enumerator version. Checkpoint journals follow the
+# listed order by position, so another order needs another version.
+LEVEL_ORDER_SHA256 = {
+    2: "d120e3a3c2631c5c84eff894ad1a470b770b3da504e6997f9c15457a1122de65",
+}
+
+
+def test_level_order_is_pinned_to_the_enumerator_version():
+    h = hashlib.sha256()
+    for n in range(8):
+        for g in graphs_of_order(n):
+            h.update(emit_graph6(g).encode() + b"\n")
+    assert h.hexdigest() == LEVEL_ORDER_SHA256[ENUMERATOR_VERSION]
+
+
+def test_subtrees_list_each_level_in_order():
+    # Walking the subtrees of the roots in order, depth-first, meets the
+    # graphs of each lower order in exactly their level order.
+    roots = graphs_of_order(4)
+    walked = [g for root in roots for g in descendants(root, 7)]
+    assert [g.n for g in walked[:3]] == [5, 6, 7]  # a child before its subtree
+    for n in (5, 6, 7):
+        assert [g for g in walked if g.n == n] == graphs_of_order(n)
+    assert len(walked) == 34 + 156 + 1044
+    assert list(descendants(roots[0], 4)) == []
+    with pytest.raises(ValueError):
+        list(descendants(roots[0], 11))
 
 
 def test_envelope_errors():

@@ -141,22 +141,27 @@ def test_mine_from_external_source():
     assert res.visited == 4
 
 
-def _interrupt_level_6(path, monkeypatch):
-    """Mine sum-perfect to 6 with a checkpoint, cut off inside level 6."""
-    calls = {"n": 0}
+def _interrupt(monkeypatch, calls: int, sweep) -> None:
+    """Run sweep() with _work raising KeyboardInterrupt on call calls + 1."""
+    made = {"n": 0}
     real_work = mining._work
 
-    # Levels 1..5 cover 7 chunks at this chunk size; level 6 has 10 more.
     def exploding_work(args):
-        calls["n"] += 1
-        if calls["n"] > 12:
+        made["n"] += 1
+        if made["n"] > calls:
             raise KeyboardInterrupt
         return real_work(args)
 
     monkeypatch.setattr(mining, "_work", exploding_work)
     with pytest.raises(KeyboardInterrupt):
-        mine_forbidden("sum-perfect", 6, checkpoint=path, chunk_size=16)
+        sweep()
     monkeypatch.setattr(mining, "_work", real_work)
+
+
+def _interrupt_level_6(path, monkeypatch):
+    """Mine sum-perfect to 6 with a checkpoint, cut off inside level 6."""
+    # Levels 1..5 are visited in 5 calls; level 6 is 34 subtree tasks.
+    _interrupt(monkeypatch, 12, lambda: mine_forbidden("sum-perfect", 6, checkpoint=path))
 
 
 def test_checkpoint_resume_mid_level(tmp_path, monkeypatch):
@@ -164,9 +169,9 @@ def test_checkpoint_resume_mid_level(tmp_path, monkeypatch):
     _interrupt_level_6(path, monkeypatch)
 
     cp = mining._load_checkpoint(path)
-    assert cp is not None and cp.level == 6 and 0 < cp.next_chunk < 10
+    assert cp is not None and cp.level == 6 and 0 < cp.next_chunk < 34
 
-    resumed = mine_forbidden("sum-perfect", 6, checkpoint=path, chunk_size=16)
+    resumed = mine_forbidden("sum-perfect", 6, checkpoint=path)
     clean = mine_forbidden("sum-perfect", 6)
     assert [k for k, _ in resumed.certificates] == [k for k, _ in clean.certificates]
     assert resumed.visited == clean.visited
@@ -181,13 +186,42 @@ def test_checkpoint_resume_after_torn_last_line(tmp_path, monkeypatch):
     path.write_bytes(data[: data.rstrip(b"\n").rfind(b"\n") + 6])
     assert mining._load_checkpoint(str(path)).next_chunk == done - 1
 
-    resumed = mine_forbidden("sum-perfect", 6, checkpoint=str(path), chunk_size=16)
+    resumed = mine_forbidden("sum-perfect", 6, checkpoint=str(path))
     clean = mine_forbidden("sum-perfect", 6)
     assert [k for k, _ in resumed.certificates] == [k for k, _ in clean.certificates]
     assert resumed.visited == clean.visited
     # The rerun chunk's record starts on a fresh line: every line parses.
     assert path.read_bytes().endswith(b"\n")
-    assert mining._load_checkpoint(str(path)).next_chunk == 10
+    assert mining._load_checkpoint(str(path)).next_chunk == 34
+
+
+def test_conjecture_resumed_with_more_jobs_equals_clean_run(tmp_path, monkeypatch):
+    path = str(tmp_path / "conj.ckpt")
+    # Levels 1..6 take 6 calls, then 54 of the 156 subtree tasks complete.
+    _interrupt(monkeypatch, 60, lambda: verify_conjecture(7, checkpoint=path, jobs=1))
+    assert mining._load_checkpoint(path).next_chunk == 54
+
+    resumed = verify_conjecture(7, checkpoint=path, jobs=2)
+    clean = verify_conjecture(7, jobs=1)
+    assert resumed.visited_by_order == clean.visited_by_order
+    assert resumed.deficient_scanned == clean.deficient_scanned == 18
+    assert resumed.counterexamples == clean.counterexamples == []
+    assert mining._load_checkpoint(path).next_chunk == 156
+
+
+def test_checkpoint_refuses_more_records_than_subtrees(tmp_path):
+    from sumperfect.cli import main
+
+    path = tmp_path / "mine.ckpt"
+    mine_forbidden("sum-perfect", 5, checkpoint=str(path))  # 11 five-vertex subtrees
+    data = path.read_text()
+    path.write_text(data + data.splitlines(keepends=True)[-1])
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="records 12 subtrees"):
+        mine_forbidden("sum-perfect", 5, checkpoint=str(path))
+    assert main(["mine", "--class", "sum-perfect", "--max-n", "5", "--jobs", "1",
+                 "--checkpoint", str(path)]) == 2
+    assert path.read_bytes() == before
 
 
 def test_checkpoint_refuses_unreadable_journals(tmp_path):
@@ -207,13 +241,21 @@ def test_checkpoint_refuses_unreadable_journals(tmp_path):
 
 
 def test_checkpoint_rejects_mismatched_params(tmp_path):
-    path = str(tmp_path / "mine.ckpt")
-    mine_forbidden("sum-perfect", 5, checkpoint=path, chunk_size=8)
+    import json
+
+    path = tmp_path / "mine.ckpt"
+    mine_forbidden("sum-perfect", 5, checkpoint=str(path))
     with pytest.raises(ValueError):
-        mine_forbidden("sum-perfect", 6, checkpoint=path, chunk_size=8)
-    with pytest.raises(ValueError):
-        mine_forbidden("sum-perfect", 5, checkpoint=path, chunk_size=4)
-    # Same level and chunk size, but written for another class or task.
+        mine_forbidden("sum-perfect", 6, checkpoint=str(path))
+    # The same sweep, but with another split or subtree count in the header.
+    header, *records = path.read_text().splitlines(keepends=True)
+    for key in ("split", "tasks"):
+        changed = json.loads(header)
+        changed[key] += 1
+        path.write_text(json.dumps(changed, sort_keys=True) + "\n" + "".join(records))
+        with pytest.raises(ValueError, match="was written for"):
+            mine_forbidden("sum-perfect", 5, checkpoint=str(path))
+    # Same level, but written for another class or task.
     other = str(tmp_path / "threshold.ckpt")
     mine_forbidden("threshold", 6, checkpoint=other)
     with pytest.raises(ValueError):
@@ -253,6 +295,53 @@ def test_mine_source_jobs_agree(tmp_path):
     with pytest.raises(ValueError):
         mine_forbidden("sum-perfect", 6, source=gs, checkpoint=str(path))
     assert not path.exists()
+
+
+def test_conjecture_sweep_is_independent_of_jobs():
+    one = verify_conjecture(8, jobs=1)
+    two = verify_conjecture(8, jobs=2)
+    assert one.visited_by_order == two.visited_by_order
+    assert one.visited_by_order[8] == 12346
+    assert one.deficient_scanned == two.deficient_scanned == 2449
+    assert one.counterexamples == two.counterexamples == []
+
+
+def test_pool_never_has_more_workers_than_tasks(monkeypatch):
+    import multiprocessing
+
+    from sumperfect.cli import main
+    from sumperfect.enumeration import graphs_of_order
+
+    sizes: list[int] = []
+
+    class InlinePool:
+        """Records the worker count asked for; runs the tasks in this process."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", InlinePool)
+    clean = mine_forbidden("sum-perfect", 6, jobs=1)
+    assert sizes == []
+    # max_n 6 splits at order 5: one task per five-vertex graph.
+    many = mine_forbidden("sum-perfect", 6, jobs=10_000)
+    assert sizes == [34] and many.certificates == clean.certificates
+    verify_conjecture(7, jobs=2)
+    assert sizes[-1] == 2
+    gs = graphs_of_order(5) + graphs_of_order(6)  # chunks of 34, then 64, 64, 28
+    mine_forbidden("sum-perfect", 6, source=gs, chunk_size=64, jobs=500)
+    assert sizes[-1] == 4
+    assert main(["mine", "--class", "threshold", "--max-n", "4", "--jobs", "10000"]) == 0
+    assert sizes[-1] == 4  # one per three-vertex graph
 
 
 def test_verify_theorem27_small():
