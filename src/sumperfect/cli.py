@@ -19,7 +19,6 @@ from .graph6 import FormatError, emit_edge_list, emit_graph6, parse_edge_list, p
 from .graphs import Graph
 from .invariants import compute_report
 from .mining import (
-    get_predicate,
     mine_forbidden,
     verify_conjecture,
     verify_theorem_27,
@@ -209,11 +208,6 @@ def cmd_recognize(args) -> int:
 # mine ---------------------------------------------------------------------------
 
 def cmd_mine(args) -> int:
-    try:
-        get_predicate(args.cls)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     source = None
     if args.source:
         parsed = _read_graphs(args.source, args.input_format)

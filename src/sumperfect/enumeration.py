@@ -151,14 +151,15 @@ def graphs_of_order(n: int) -> list[Graph]:
 
 
 def stream_graphs(n: int) -> Iterator[Graph]:
-    """Stream the order-n representatives: the children of each order-(n-1)
-    representative in turn, without materialising the level."""
+    """Stream the order-n representatives: the order-n graphs of the
+    depth-first walk from the root, without materialising the level (n = 0
+    yields the root). A depth-first walk meets each level in level order."""
     check_order(n)
     if n == 0:
         yield _ROOT
-        return
-    for parent in stream_graphs(n - 1):
-        yield from _children(parent)
+    for g in descendants(_ROOT, n):
+        if g.n == n:
+            yield g
 
 
 def descendants(root: Graph, max_n: int) -> Iterator[Graph]:

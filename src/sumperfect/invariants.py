@@ -209,11 +209,12 @@ def deficit(g: Graph) -> int:
     return g.n - stability_number(g) - clique_number(g)
 
 
-# Bounds that the subset DP compares |S| against, indexed [alpha(S)][omega(S)].
+# Bounds that the subset DP compares |S| against, indexed [alpha(S)][omega(S)];
+# a table with rows 0..N serves graphs of up to N vertices.
 _SUM_BOUND = [[a + w for w in range(DEFICIENCY_MAX + 1)]
               for a in range(DEFICIENCY_MAX + 1)]
-_PRODUCT_BOUND = [[a * w for w in range(DEFICIENCY_MAX + 1)]
-                  for a in range(DEFICIENCY_MAX + 1)]
+_PRODUCT_BOUND = [[a * w for w in range(LOVASZ_MAX + 1)]
+                  for a in range(LOVASZ_MAX + 1)]
 
 
 def _subset_dp(g: Graph, bound: list[list[int]],
@@ -233,12 +234,15 @@ def _subset_dp(g: Graph, bound: list[list[int]],
     exceeds `stop`, and if none does it ends as with None. Mining relies on
     this first hit: the full vertex set, the largest mask, is the first hit
     iff no other subset exceeds `stop`.
+
+    Raises ValueError unless n < len(bound): the one envelope check of
+    every subset scan.
     """
     n = g.n
     if n == 0:
         return 0, None
-    if n > DEFICIENCY_MAX:
-        raise ValueError(f"subgraph scan supports n <= {DEFICIENCY_MAX}, got {n}")
+    if n >= len(bound):
+        raise ValueError(f"subgraph scan supports n <= {len(bound) - 1}, got {n}")
     size = 1 << n
     at = [0] * size
     wt = [0] * size
@@ -292,8 +296,6 @@ def find_deficient_subgraph(g: Graph) -> int | None:
 
 def is_perfect_lovasz(g: Graph) -> bool:
     """Every non-empty induced subgraph H satisfies alpha(H)*omega(H) >= |V(H)|."""
-    if g.n > LOVASZ_MAX:
-        raise ValueError(f"perfection scan supports n <= {LOVASZ_MAX}, got {g.n}")
     return _subset_dp(g, _PRODUCT_BOUND, 0)[0] <= 0
 
 

@@ -16,7 +16,8 @@ one task that walks its subtree depth-first down to max_n, so workers
 enumerate as well as evaluate. A task returns (visited by order, lines,
 bscans); results are merged in root order, and the graph6 lines are only
 read as a set, so output is identical for every worker count. An external
-source stream is cut into chunk tasks by runs of equal order instead.
+source stream is cut into tasks of _SOURCE_CHUNK graphs instead, whatever
+their orders; each task counts its graphs by order itself.
 An enumerated sweep can checkpoint into an append-only journal: a JSON
 header line naming the sweep (task, class, level = max_n, split, the number
 of subtree tasks, and the enumerator version, since records follow the
@@ -36,7 +37,6 @@ import os
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .canon import canonical_key
@@ -56,8 +56,6 @@ from .induced import PatternSet
 from .invariants import (
     _PRODUCT_BOUND,
     _SUM_BOUND,
-    DEFICIENCY_MAX,
-    LOVASZ_MAX,
     _subset_dp,
     clique_number,
     has_deficiency_above,
@@ -67,7 +65,7 @@ from .invariants import (
 )
 from .recognition import check_threshold_theorem, is_threshold, is_threshold_by_obstructions
 
-_DEFAULT_CHUNK = 512
+_SOURCE_CHUNK = 512
 _SPLIT = 6
 HC_MINE_MAX = 9
 
@@ -84,11 +82,10 @@ class ClassPredicate:
 
 class _SubsetForm(NamedTuple):
     """g is a member iff every non-empty induced subgraph S has
-    |S| - bound[alpha(S)][omega(S)] <= stop; the scan takes n <= max_n."""
+    |S| - bound[alpha(S)][omega(S)] <= stop."""
 
     bound: list[list[int]]
     stop: int
-    max_n: int
 
 
 def _resolve(name: str) -> tuple[Callable[[Graph], bool] | None, _SubsetForm | None]:
@@ -96,14 +93,14 @@ def _resolve(name: str) -> tuple[Callable[[Graph], bool] | None, _SubsetForm | N
     if name == "threshold":
         return is_threshold, None
     if name == "sum-perfect":
-        return is_sum_perfect_definitional, _SubsetForm(_SUM_BOUND, 0, DEFICIENCY_MAX)
+        return is_sum_perfect_definitional, _SubsetForm(_SUM_BOUND, 0)
     if name == "perfect":
-        return is_perfect_lovasz, _SubsetForm(_PRODUCT_BOUND, 0, LOVASZ_MAX)
+        return is_perfect_lovasz, _SubsetForm(_PRODUCT_BOUND, 0)
     if name.startswith("deficiency:"):
         c = int(name.split(":", 1)[1])
         if c < 0:
             raise ValueError("deficiency parameter must be >= 0")
-        form = _SubsetForm(_SUM_BOUND, c, DEFICIENCY_MAX)
+        form = _SubsetForm(_SUM_BOUND, c)
         return (lambda g: not has_deficiency_above(g, c)), form
     return None, None
 
@@ -129,8 +126,6 @@ def _verdict(form: _SubsetForm | None, fn: Callable[[Graph], bool],
         if fn(g):
             return True, False
         return False, all(fn(delete_vertex(g, v)) for v in range(g.n))
-    if g.n > form.max_n:
-        raise ValueError(f"subgraph scan supports n <= {form.max_n}, got {g.n}")
     value, mask = _subset_dp(g, form.bound, form.stop)
     if value <= form.stop:
         return True, False
@@ -207,10 +202,6 @@ def _work(task) -> tuple[dict[int, int], list[str], int]:
             yield g
 
     return (visited, *chunk(class_name, counted()))
-
-
-def _chunked(items: list, size: int) -> list[list]:
-    return [items[i : i + size] for i in range(0, len(items), size)]
 
 
 def _map_tasks(tasks: list, jobs: int) -> Iterator:
@@ -308,13 +299,12 @@ def _open_journal(path: str, header: dict) -> _Checkpoint:
 # Sweeps -------------------------------------------------------------------------
 
 def _sweep(chunk, class_name: str, max_n: int, jobs: int,
-           checkpoint: str | None, chunk_size: int,
-           source: Iterable[Graph] | None):
+           checkpoint: str | None, source: Iterable[Graph] | None = None):
     """Visit every graph of order 1..max_n (or of an external stream) once.
 
     An enumerated sweep visits the orders up to the split here and runs one
     task per subtree below it (see the module docstring); a stream is cut
-    into chunk tasks by runs of equal order. Task results, journaled ones
+    into tasks of _SOURCE_CHUNK graphs. Task results, journaled ones
     first, go through add in task order, so lines keep visit order. Returns
     (visited_by_order, lines, bscans).
     """
@@ -334,9 +324,9 @@ def _sweep(chunk, class_name: str, max_n: int, jobs: int,
     if source is not None:
         if checkpoint:
             raise ValueError("a checkpoint resumes enumerated sweeps, not a source stream")
-        tasks = [(chunk, class_name, c, None)
-                 for _, run in groupby(source, key=lambda g: g.n)
-                 for c in _chunked(list(run), chunk_size)]
+        graphs = list(source)
+        tasks = [(chunk, class_name, graphs[i : i + _SOURCE_CHUNK], None)
+                 for i in range(0, len(graphs), _SOURCE_CHUNK)]
     else:
         check_order(max_n)
         split = max(0, min(_SPLIT, max_n - 1))
@@ -384,18 +374,17 @@ class MineResult:
 
 def mine_forbidden(class_name: str, max_n: int, *, jobs: int = 1,
                    checkpoint: str | None = None,
-                   source: Iterable[Graph] | None = None,
-                   chunk_size: int = _DEFAULT_CHUNK) -> MineResult:
-    """All minimal forbidden graphs for the class, up to order max_n.
+                   source: Iterable[Graph] | None = None) -> MineResult:
+    """All minimal forbidden graphs for the class, up to order max_n, or
+    among the graphs of source.
 
     Certificates are deduplicated by canonical key and ordered by
-    (order, key), making the output independent of worker count. chunk_size
-    only cuts a source stream; enumerated sweeps run one task per subtree.
+    (order, key), making the output independent of worker count.
     """
     get_predicate(class_name)  # validate the name before sweeping
     start = time.monotonic()
     visited_by_order, lines, _ = _sweep(
-        _mine_chunk, class_name, max_n, jobs, checkpoint, chunk_size, source
+        _mine_chunk, class_name, max_n, jobs, checkpoint, source
     )
     by_key: dict[bytes, Graph] = {}
     for line in lines:
@@ -429,14 +418,13 @@ class ConjectureReport:
 
 
 def verify_conjecture(max_n: int, *, jobs: int = 1,
-                      checkpoint: str | None = None,
-                      source: Iterable[Graph] | None = None,
-                      chunk_size: int = _DEFAULT_CHUNK) -> ConjectureReport:
-    """Check that every scanned graph avoiding all 24 six-vertex obstructions
-    has alpha + omega >= n - 1; reports any counterexamples (expected none)."""
+                      checkpoint: str | None = None) -> ConjectureReport:
+    """Check that every graph up to order max_n avoiding all 24 six-vertex
+    obstructions has alpha + omega >= n - 1; reports any counterexamples
+    (expected none)."""
     start = time.monotonic()
     visited_by_order, bad, scanned = _sweep(
-        _conjecture_chunk, "sum-perfect", max_n, jobs, checkpoint, chunk_size, source
+        _conjecture_chunk, "sum-perfect", max_n, jobs, checkpoint
     )
     return ConjectureReport(
         max_n=max_n,

@@ -7,7 +7,7 @@ import pytest
 import sumperfect.mining as mining
 from sumperfect.canon import canonical_key
 from sumperfect.family import build_family
-from sumperfect.graph6 import emit_graph6
+from sumperfect.graph6 import emit_graph6, parse_graph6
 from sumperfect.graphs import (
     complement,
     complete_graph,
@@ -232,12 +232,12 @@ def test_checkpoint_refuses_unreadable_journals(tmp_path):
     assert old.read_text().startswith("Dhc\n")
 
     path = tmp_path / "mine.ckpt"
-    mine_forbidden("sum-perfect", 5, checkpoint=str(path), chunk_size=8)
+    mine_forbidden("sum-perfect", 5, checkpoint=str(path))
     lines = path.read_text().splitlines(keepends=True)
     lines[1] = lines[1][:-3] + "\n"  # a malformed record that is not the last
     path.write_text("".join(lines))
     with pytest.raises(ValueError):
-        mine_forbidden("sum-perfect", 5, checkpoint=str(path), chunk_size=8)
+        mine_forbidden("sum-perfect", 5, checkpoint=str(path))
 
 
 def test_checkpoint_rejects_mismatched_params(tmp_path):
@@ -283,14 +283,25 @@ def test_checkpoint_refuses_journal_of_previous_enumerator(tmp_path):
     assert path.read_bytes() == before
 
 
-def test_mine_source_jobs_agree(tmp_path):
+def test_mine_source_jobs_agree(tmp_path, monkeypatch):
+    # Chunks of 7 cut a stream whose orders 5 and 6 interleave, so most hold
+    # graphs of two orders; each task counts its graphs by order itself.
     from sumperfect.enumeration import graphs_of_order
 
-    gs = graphs_of_order(5) + graphs_of_order(6)  # 6 chunks of 32 at most
-    r1 = mine_forbidden("sum-perfect", 6, source=gs, chunk_size=32, jobs=1)
-    r2 = mine_forbidden("sum-perfect", 6, source=gs, chunk_size=32, jobs=2)
-    assert r1.certificates == r2.certificates and r1.visited == r2.visited == 190
-    assert r1.counts_by_order == {5: 1, 6: 24}
+    five, six = graphs_of_order(5), graphs_of_order(6)
+    mixed = [g for pair in zip(five, six) for g in pair] + six[len(five):]
+    gs = [g for n in range(1, 5) for g in graphs_of_order(n)] + mixed
+    monkeypatch.setattr(mining, "_SOURCE_CHUNK", 7)
+    enumerated = mine_forbidden("sum-perfect", 6)
+    assert enumerated.visited == 208
+    assert enumerated.counts_by_order == {5: 1, 6: 24}
+    for jobs in (1, 2):
+        res = mine_forbidden("sum-perfect", 6, source=gs, jobs=jobs)
+        assert res.certificates == enumerated.certificates
+        assert res.visited == enumerated.visited
+        assert res.counts_by_order == enumerated.counts_by_order
+        visited = mining._sweep(mining._mine_chunk, "sum-perfect", 6, jobs, None, gs)[0]
+        assert visited == {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
     path = tmp_path / "src.ckpt"
     with pytest.raises(ValueError):
         mine_forbidden("sum-perfect", 6, source=gs, checkpoint=str(path))
@@ -337,9 +348,10 @@ def test_pool_never_has_more_workers_than_tasks(monkeypatch):
     assert sizes == [34] and many.certificates == clean.certificates
     verify_conjecture(7, jobs=2)
     assert sizes[-1] == 2
-    gs = graphs_of_order(5) + graphs_of_order(6)  # chunks of 34, then 64, 64, 28
-    mine_forbidden("sum-perfect", 6, source=gs, chunk_size=64, jobs=500)
-    assert sizes[-1] == 4
+    monkeypatch.setattr(mining, "_SOURCE_CHUNK", 64)
+    gs = graphs_of_order(5) + graphs_of_order(6)  # chunks of 64, 64, 62
+    mine_forbidden("sum-perfect", 6, source=gs, jobs=500)
+    assert sizes[-1] == 3
     assert main(["mine", "--class", "threshold", "--max-n", "4", "--jobs", "10000"]) == 0
     assert sizes[-1] == 4  # one per three-vertex graph
 
@@ -378,9 +390,10 @@ def test_verify_conjecture_flags_counterexample(monkeypatch):
 
     fake = PatternSet([(99, complete_graph(6))])
     monkeypatch.setattr(mining, "_b_patterns", lambda: fake)
-    rep = verify_conjecture(7, source=[cycle_graph(7), complete_graph(6)])
+    rep = verify_conjecture(7)
     assert not rep.passed
-    assert rep.counterexamples == [emit_graph6(cycle_graph(7))]
+    keys = {canonical_key(parse_graph6(line)) for line in rep.counterexamples}
+    assert canonical_key(cycle_graph(7)) in keys
 
 
 def test_verify_threshold_equivalence():
