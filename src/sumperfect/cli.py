@@ -1,22 +1,29 @@
 """Command-line interface: analyze, family, recognize, mine, verify.
 
-Inputs are graph6 lines or edge-list blocks (first line n, then 'u v' lines,
-blocks separated by blank lines); '-' reads stdin. Exit codes: 0 clean,
-1 mathematical counterexample, 2 usage, parse or file error.
+Input is read line by line from a file or from stdin ('-'): graph6 lines or
+edge-list blocks (first line n, then 'u v' lines, blocks separated by blank
+lines). Blank and '#' lines are skipped in both formats; --input-format auto
+picks edge lists iff the first remaining line is an integer. recognize and
+analyze --format json print each record as its graph is read (analyze text
+waits to size its columns); mine --source reads the whole stream, whose
+orders --max-n (up to 64 there) caps. Exit codes: 0 clean, 1 mathematical
+counterexample, 2 usage, parse or file error.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
+import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass
+from typing import Iterator
 
 from .enumeration import ENUM_MAX
 from .family import build_conjecture_family, build_family
 from .graph6 import FormatError, emit_edge_list, emit_graph6, parse_edge_list, parse_graph6
-from .graphs import Graph
+from .graphs import MAX_VERTICES, Graph
 from .invariants import compute_report
 from .mining import (
     mine_forbidden,
@@ -39,59 +46,50 @@ EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
 
 
-@dataclass
-class ParsedInput:
-    graphs: list[tuple[str, Graph]]
-    errors: list[str]
-
-
-def _read_text(path: str) -> str:
+def _read_graphs(path: str, fmt: str) -> Iterator[tuple[str, Graph | FormatError]]:
+    """(id, graph or FormatError) for each graph of a file or of stdin ('-'),
+    read line by line; the id names the graph's first line. Blank and '#'
+    lines are skipped. graph6 has one graph per line; an edge list is a
+    block of lines that ends at a blank line. 'auto' picks edges iff the
+    first remaining line is an integer."""
+    raw = sys.stdin.buffer if path == "-" else open(path, "rb")
     # A non-ASCII byte decodes to U+FFFD, which neither parser accepts, so
     # only its own line (or edge-list block) fails, from stdin as from a file.
-    if path == "-":
-        return sys.stdin.buffer.read().decode("ascii", errors="replace")
-    with open(path, "rb") as fh:
-        return fh.read().decode("ascii", errors="replace")
-
-
-def _parse_stream(text: str, fmt: str) -> ParsedInput:
-    """Split input into graphs. graph6 is line-oriented; edge lists are
-    blank-line separated blocks. 'auto' sniffs: a leading integer means edges."""
-    graphs: list[tuple[str, Graph]] = []
-    errors: list[str] = []
-    stripped = [ln.strip() for ln in text.splitlines()]
-    if fmt == "auto":
-        first = next((ln for ln in stripped if ln), "")
-        fmt = "edges" if first.isdigit() else "graph6"
-    if fmt == "graph6":
-        for i, line in enumerate(stripped, start=1):
-            if not line or line.startswith("#"):
+    # newline="" ends lines at LF, CRLF or CR; splitlines() also cuts at the
+    # other separators str.splitlines knows (\v, \f, \x1c..\x1e).
+    text = io.TextIOWrapper(raw, encoding="ascii", errors="replace", newline="")
+    try:
+        lines = (ln.strip() for physical in text for ln in physical.splitlines())
+        block: list[str] = []
+        start = 0
+        for i, line in enumerate(itertools.chain(lines, [""]), start=1):
+            if line.startswith("#"):
+                continue
+            if fmt == "auto" and line:
+                fmt = "edges" if line.isdigit() else "graph6"
+            if fmt == "edges" and line:
+                if not block:
+                    start = i
+                block.append(line)
+                continue
+            if fmt == "graph6" and line:
+                gid, parse, item = f"line {i}", parse_graph6, line
+            elif block:
+                gid, parse, item = f"line {start}", parse_edge_list, "\n".join(block)
+                block = []
+            else:
                 continue
             try:
-                graphs.append((f"line {i}", parse_graph6(line)))
+                g = parse(item)
             except FormatError as exc:
-                errors.append(f"line {i}: {exc}")
-        return ParsedInput(graphs, errors)
-    # edge-list blocks
-    block: list[str] = []
-    start_line = 1
-    for i, line in enumerate(stripped + [""], start=1):
-        if line:
-            if not block:
-                start_line = i
-            block.append(line)
-            continue
-        if block:
-            try:
-                graphs.append((f"line {start_line}", parse_edge_list("\n".join(block))))
-            except FormatError as exc:
-                errors.append(f"line {start_line}: {exc}")
-            block = []
-    return ParsedInput(graphs, errors)
-
-
-def _read_graphs(path: str, fmt: str) -> ParsedInput:
-    return _parse_stream(_read_text(path), fmt)
+                g = exc
+            yield gid, g
+    finally:
+        # Closing the wrapper would close its buffer, stdin's included.
+        if raw is sys.stdin.buffer:
+            text.detach()
+        else:
+            text.close()
 
 
 # analyze ----------------------------------------------------------------------
@@ -119,14 +117,17 @@ _ANALYZE_COLUMNS = (
 
 
 def cmd_analyze(args) -> int:
-    parsed = _read_graphs(args.input, args.input_format)
-    for err in parsed.errors:
-        print(f"parse error: {err}", file=sys.stderr)
-    records = [_analysis_record(gid, g) for gid, g in parsed.graphs]
-    if args.format == "json":
-        for rec in records:
-            print(json.dumps(rec, sort_keys=True))
-    else:
+    failed = False
+    records = []
+    for gid, g in _read_graphs(args.input, args.input_format):
+        if isinstance(g, FormatError):
+            print(f"parse error: {gid}: {g}", file=sys.stderr)
+            failed = True
+        elif args.format == "json":
+            print(json.dumps(_analysis_record(gid, g), sort_keys=True))
+        else:
+            records.append(_analysis_record(gid, g))
+    if args.format == "text":
         rows = [
             [str(rec[c]) if rec[c] is not None else "-" for c in _ANALYZE_COLUMNS]
             for rec in records
@@ -138,7 +139,7 @@ def cmd_analyze(args) -> int:
         print("  ".join(c.ljust(w) for c, w in zip(_ANALYZE_COLUMNS, widths)))
         for r in rows:
             print("  ".join(x.ljust(w) for x, w in zip(r, widths)))
-    return EXIT_USAGE if parsed.errors else EXIT_OK
+    return EXIT_USAGE if failed else EXIT_OK
 
 
 # family -----------------------------------------------------------------------
@@ -174,10 +175,12 @@ def cmd_family(args) -> int:
 # recognize ----------------------------------------------------------------------
 
 def cmd_recognize(args) -> int:
-    parsed = _read_graphs(args.input, args.input_format)
-    for err in parsed.errors:
-        print(f"parse error: {err}", file=sys.stderr)
-    for gid, g in parsed.graphs:
+    failed = False
+    for gid, g in _read_graphs(args.input, args.input_format):
+        if isinstance(g, FormatError):
+            print(f"parse error: {gid}: {g}", file=sys.stderr)
+            failed = True
+            continue
         verdict, witness = is_sum_perfect(g)
         ev = witness.evidence
         rec = {
@@ -202,7 +205,7 @@ def cmd_recognize(args) -> int:
                 for c in find_forbidden_copies(g, limit=None)
             ]
         print(json.dumps(rec))
-    return EXIT_USAGE if parsed.errors else EXIT_OK
+    return EXIT_USAGE if failed else EXIT_OK
 
 
 # mine ---------------------------------------------------------------------------
@@ -210,12 +213,15 @@ def cmd_recognize(args) -> int:
 def cmd_mine(args) -> int:
     source = None
     if args.source:
-        parsed = _read_graphs(args.source, args.input_format)
-        if parsed.errors:
-            for err in parsed.errors:
-                print(f"parse error: {err}", file=sys.stderr)
+        source, failed = [], False
+        for gid, g in _read_graphs(args.source, args.input_format):
+            if isinstance(g, FormatError):
+                print(f"parse error: {gid}: {g}", file=sys.stderr)
+                failed = True
+            else:
+                source.append(g)
+        if failed:
             return EXIT_USAGE
-        source = [g for _, g in parsed.graphs]
     result = mine_forbidden(
         args.cls, args.max_n, jobs=args.jobs,
         checkpoint=args.checkpoint, source=source,
@@ -348,6 +354,8 @@ def main(argv: list[str] | None = None) -> int:
         name, (lo, hi) = f"verify {args.target}", _VERIFY_ENVELOPE[args.target]
     elif args.command == "mine":
         name, (lo, hi) = "mine", _MINE_ENVELOPE
+        if args.source:  # a stream is not enumerated; Graph capacity caps it
+            hi = MAX_VERTICES
     if args.command in ("verify", "mine"):
         if not lo <= args.max_n <= hi:
             print(f"error: {name} supports max-n in {lo}..{hi}", file=sys.stderr)

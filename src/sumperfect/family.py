@@ -183,9 +183,9 @@ class FamilyReport:
         )
 
 
-def verify_family(family: ForbiddenFamily | None = None) -> FamilyReport:
+def verify_family() -> FamilyReport:
     """Re-derive every structural claim the family is supposed to satisfy."""
-    fam = family if family is not None else build_family()
+    fam = build_family()
     checks = []
     for m in fam:
         g = m.graph

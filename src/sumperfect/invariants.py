@@ -11,7 +11,7 @@ appears.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .graphs import Graph, complement
 
@@ -344,15 +344,7 @@ class InvariantReport:
     deficit: int
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "alpha": self.alpha,
-            "omega": self.omega,
-            "tau": self.tau,
-            "nu": self.nu,
-            "triangles": self.triangles,
-            "deficit": self.deficit,
-        }
+        return asdict(self)
 
 
 def compute_report(g: Graph) -> InvariantReport:

@@ -7,8 +7,8 @@ proper induced subgraph satisfies it. For the classes the subset DP decides
 DP visits vertex subsets in ascending mask order and stops at the first that
 breaks the class, so g is a member iff there is none, and minimal forbidden
 iff it is the full vertex set, the largest mask, since any other lies inside
-some g - v. Threshold has no DP form; by heredity it is enough that each
-one-vertex deletion satisfies it, and each is tested.
+some g - v. Threshold is decided by elimination instead; a non-member is
+minimal forbidden iff each one-vertex deletion is a member, and each is tested.
 A sweep to max_n cuts the generation tree at the split order
 s = min(_SPLIT, max_n - 1), as geng's res/mod splitting does: the main
 process visits orders 1..s itself, and each graph of order s is the root of
@@ -17,7 +17,8 @@ enumerate as well as evaluate. A task returns (visited by order, lines,
 bscans); results are merged in root order, and the graph6 lines are only
 read as a set, so output is identical for every worker count. An external
 source stream is cut into tasks of _SOURCE_CHUNK graphs instead, whatever
-their orders; each task counts its graphs by order itself.
+their orders; each task counts its graphs by order itself. A stream graph
+of order above max_n is refused with ValueError.
 An enumerated sweep can checkpoint into an append-only journal: a JSON
 header line naming the sweep (task, class, level = max_n, split, the number
 of subtree tasks, and the enumerator version, since records follow the
@@ -228,14 +229,6 @@ class _Checkpoint:
     results: list[tuple[dict[int, int], list[str], int]]
     end: int
 
-    @property
-    def level(self) -> int:
-        return self.header["level"]
-
-    @property
-    def next_chunk(self) -> int:
-        return len(self.results)
-
 
 def _is_record(rec) -> bool:
     return (isinstance(rec, list) and len(rec) == 3 and type(rec[2]) is int
@@ -286,9 +279,9 @@ def _open_journal(path: str, header: dict) -> _Checkpoint:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(json.dumps(header, sort_keys=True) + "\n")
         return _Checkpoint(header, [], 0)
-    if cp.next_chunk > header["tasks"]:
+    if len(cp.results) > header["tasks"]:
         raise ValueError(
-            f"checkpoint {path!r} records {cp.next_chunk} subtrees, "
+            f"checkpoint {path!r} records {len(cp.results)} subtrees, "
             f"but the sweep has only {header['tasks']}"
         )
     with open(path, "r+b") as fh:
@@ -325,6 +318,9 @@ def _sweep(chunk, class_name: str, max_n: int, jobs: int,
         if checkpoint:
             raise ValueError("a checkpoint resumes enumerated sweeps, not a source stream")
         graphs = list(source)
+        big = max((g.n for g in graphs), default=0)
+        if big > max_n:
+            raise ValueError(f"source graph of order {big} exceeds max_n {max_n}")
         tasks = [(chunk, class_name, graphs[i : i + _SOURCE_CHUNK], None)
                  for i in range(0, len(graphs), _SOURCE_CHUNK)]
     else:
@@ -376,7 +372,7 @@ def mine_forbidden(class_name: str, max_n: int, *, jobs: int = 1,
                    checkpoint: str | None = None,
                    source: Iterable[Graph] | None = None) -> MineResult:
     """All minimal forbidden graphs for the class, up to order max_n, or
-    among the graphs of source.
+    among the graphs of source, none of which may exceed order max_n.
 
     Certificates are deduplicated by canonical key and ordered by
     (order, key), making the output independent of worker count.

@@ -235,12 +235,20 @@ def test_verify_envelope_usage_error(capsys):
                                         ("sum-perfect", DEFICIENCY_MAX)])
 def test_mine_source_beyond_scan_envelope(tmp_path, capsys, cls, limit):
     # A source graph one vertex past the class's subset-scan envelope is
-    # refused, not scanned, whatever --max-n says.
+    # refused, not scanned, even when --max-n admits its order.
     src = tmp_path / "big.g6"
     src.write_text(emit_graph6(cycle_graph(limit + 1)) + "\n")
-    code, out, err = run(capsys, "mine", "--class", cls, "--max-n", "10",
+    code, out, err = run(capsys, "mine", "--class", cls, "--max-n", str(limit + 1),
                          "--source", str(src))
     assert code == 2 and out == "" and f"n <= {limit}" in err
+
+
+def test_mine_source_above_max_n(tmp_path, capsys, c5):
+    src = tmp_path / "src.g6"
+    src.write_text(emit_graph6(cycle_graph(4)) + "\n" + emit_graph6(c5) + "\n")
+    code, out, err = run(capsys, "mine", "--class", "sum-perfect", "--max-n", "4",
+                         "--jobs", "1", "--source", str(src))
+    assert code == 2 and out == "" and "order 5" in err
 
 
 def test_mine_source_refuses_checkpoint(tmp_path, capsys, c5):
@@ -311,3 +319,55 @@ def test_non_ascii_stdin_line_is_one_parse_error():
     assert err.count("parse error: line 2:") == 1 and len(err.splitlines()) == 1
     ids = [json.loads(line)["id"] for line in proc.stdout.decode().splitlines()]
     assert ids == ["line 1", "line 3"]
+
+
+@pytest.mark.parametrize("fmt", ["auto", "edges"])
+def test_family_edges_read_back(tmp_path, capsys, fmt):
+    # The '#' header of each block is a comment, not part of the edge list.
+    _, family, _ = run(capsys, "family", "--format", "edges")
+    path = tmp_path / "family.txt"
+    path.write_text(family)
+    code, out, err = run(capsys, "recognize", str(path), "--input-format", fmt)
+    recs = [json.loads(line) for line in out.splitlines()]
+    assert code == 0 and err == ""
+    assert [r["verdict"] for r in recs] == [False] * 27
+    assert [r["forbidden_index"] for r in recs] == list(range(1, 28))
+
+
+def test_edge_list_line_ends_agree(tmp_path, capsys):
+    text = "5\n0 1\n1 2\n2 3\n3 4\n4 0\n\n\n3\n0 1\n1 2\n\n2\n0 2\n"
+    outs = []
+    for end in ("\n", "\r\n", "\r"):
+        path = tmp_path / "in.txt"
+        path.write_bytes(text.replace("\n", end).encode())
+        outs.append(run(capsys, "recognize", str(path), "--witness"))
+    assert outs[0][0] == 2 and "parse error: line 13:" in outs[0][2]
+    assert [json.loads(line)["id"] for line in outs[0][1].splitlines()] == [
+        "line 1", "line 9"]
+    assert outs[0] == outs[1] == outs[2]
+
+
+def test_stdin_records_print_as_read(capsys, monkeypatch, c5):
+    import io
+
+    class FailsAfterOneLine(io.RawIOBase):
+        """Gives one graph6 line, then fails on the next read."""
+
+        def __init__(self):
+            self.data = (emit_graph6(c5) + "\n").encode()
+
+        def readable(self):
+            return True
+
+        def readinto(self, buf):
+            if not self.data:
+                raise OSError("stdin went away")
+            n = len(self.data)
+            buf[:n], self.data = self.data, b""
+            return n
+
+    stdin = io.TextIOWrapper(io.BufferedReader(FailsAfterOneLine()))
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, err = run(capsys, "recognize", "-")
+    assert json.loads(out)["id"] == "line 1"
+    assert code == 2 and err == "error: stdin went away\n"

@@ -141,6 +141,12 @@ def test_mine_from_external_source():
     assert res.visited == 4
 
 
+def test_mine_source_refuses_graphs_above_max_n():
+    gs = [cycle_graph(5), cycle_graph(7), cycle_graph(6)]
+    with pytest.raises(ValueError, match="order 7"):
+        mine_forbidden("sum-perfect", 5, source=gs)
+
+
 def _interrupt(monkeypatch, calls: int, sweep) -> None:
     """Run sweep() with _work raising KeyboardInterrupt on call calls + 1."""
     made = {"n": 0}
@@ -169,7 +175,7 @@ def test_checkpoint_resume_mid_level(tmp_path, monkeypatch):
     _interrupt_level_6(path, monkeypatch)
 
     cp = mining._load_checkpoint(path)
-    assert cp is not None and cp.level == 6 and 0 < cp.next_chunk < 34
+    assert cp is not None and cp.header["level"] == 6 and 0 < len(cp.results) < 34
 
     resumed = mine_forbidden("sum-perfect", 6, checkpoint=path)
     clean = mine_forbidden("sum-perfect", 6)
@@ -180,11 +186,11 @@ def test_checkpoint_resume_mid_level(tmp_path, monkeypatch):
 def test_checkpoint_resume_after_torn_last_line(tmp_path, monkeypatch):
     path = tmp_path / "mine.ckpt"
     _interrupt_level_6(str(path), monkeypatch)
-    done = mining._load_checkpoint(str(path)).next_chunk
+    done = len(mining._load_checkpoint(str(path)).results)
     # Cut the last record mid-line, as a crash during its write would.
     data = path.read_bytes()
     path.write_bytes(data[: data.rstrip(b"\n").rfind(b"\n") + 6])
-    assert mining._load_checkpoint(str(path)).next_chunk == done - 1
+    assert len(mining._load_checkpoint(str(path)).results) == done - 1
 
     resumed = mine_forbidden("sum-perfect", 6, checkpoint=str(path))
     clean = mine_forbidden("sum-perfect", 6)
@@ -192,21 +198,21 @@ def test_checkpoint_resume_after_torn_last_line(tmp_path, monkeypatch):
     assert resumed.visited == clean.visited
     # The rerun chunk's record starts on a fresh line: every line parses.
     assert path.read_bytes().endswith(b"\n")
-    assert mining._load_checkpoint(str(path)).next_chunk == 34
+    assert len(mining._load_checkpoint(str(path)).results) == 34
 
 
 def test_conjecture_resumed_with_more_jobs_equals_clean_run(tmp_path, monkeypatch):
     path = str(tmp_path / "conj.ckpt")
     # Levels 1..6 take 6 calls, then 54 of the 156 subtree tasks complete.
     _interrupt(monkeypatch, 60, lambda: verify_conjecture(7, checkpoint=path, jobs=1))
-    assert mining._load_checkpoint(path).next_chunk == 54
+    assert len(mining._load_checkpoint(path).results) == 54
 
     resumed = verify_conjecture(7, checkpoint=path, jobs=2)
     clean = verify_conjecture(7, jobs=1)
     assert resumed.visited_by_order == clean.visited_by_order
     assert resumed.deficient_scanned == clean.deficient_scanned == 18
     assert resumed.counterexamples == clean.counterexamples == []
-    assert mining._load_checkpoint(path).next_chunk == 156
+    assert len(mining._load_checkpoint(path).results) == 156
 
 
 def test_checkpoint_refuses_more_records_than_subtrees(tmp_path):
