@@ -6,8 +6,9 @@ lines). Blank and '#' lines are skipped in both formats; --input-format auto
 picks edge lists iff the first remaining line is an integer. recognize and
 analyze --format json print each record as its graph is read (analyze text
 waits to size its columns); mine --source reads the whole stream, whose
-orders --max-n (up to 64 there) caps. Exit codes: 0 clean, 1 mathematical
-counterexample, 2 usage, parse or file error.
+orders --max-n caps. Size limits are checked by the library functions that
+own them; a ValueError they raise is printed as one 'error:' line. Exit
+codes: 0 clean, 1 mathematical counterexample, 2 usage, parse or file error.
 """
 
 from __future__ import annotations
@@ -20,10 +21,9 @@ import os
 import sys
 from typing import Iterator
 
-from .enumeration import ENUM_MAX
 from .family import build_conjecture_family, build_family
 from .graph6 import FormatError, emit_edge_list, emit_graph6, parse_edge_list, parse_graph6
-from .graphs import MAX_VERTICES, Graph
+from .graphs import Graph
 from .invariants import compute_report
 from .mining import (
     mine_forbidden,
@@ -265,7 +265,7 @@ def cmd_verify(args) -> int:
         print("conjecture: FAIL")
         print(f"counterexample: {report.counterexamples[0]}")
         return EXIT_COUNTEREXAMPLE
-    report = verify_threshold_equivalence(args.max_n)
+    report = verify_threshold_equivalence(args.max_n, jobs=args.jobs)
     print(f"checked {report.checked} graphs up to n={args.max_n}")
     print(f"disagreements: {len(report.disagreements)}")
     if report.passed:
@@ -334,9 +334,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _VERIFY_DEFAULT_MAX_N = {"theorem27": 8, "conjecture": 9, "threshold": 7}
-# max-n ranges; theorem27 needs order 7 to meet the two 7-vertex members.
-_VERIFY_ENVELOPE = {"theorem27": (7, 9), "conjecture": (1, ENUM_MAX), "threshold": (1, 8)}
-_MINE_ENVELOPE = (1, ENUM_MAX)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -350,18 +347,6 @@ def main(argv: list[str] | None = None) -> int:
             args.max_n = _VERIFY_DEFAULT_MAX_N[args.target]
         if args.checkpoint and args.target != "conjecture":
             print(f"error: verify {args.target} cannot checkpoint", file=sys.stderr)
-            return EXIT_USAGE
-        name, (lo, hi) = f"verify {args.target}", _VERIFY_ENVELOPE[args.target]
-    elif args.command == "mine":
-        name, (lo, hi) = "mine", _MINE_ENVELOPE
-        if args.source:  # a stream is not enumerated; Graph capacity caps it
-            hi = MAX_VERTICES
-    if args.command in ("verify", "mine"):
-        if not lo <= args.max_n <= hi:
-            print(f"error: {name} supports max-n in {lo}..{hi}", file=sys.stderr)
-            return EXIT_USAGE
-        if args.jobs < 1:
-            print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
             return EXIT_USAGE
     try:
         return args.fn(args)

@@ -17,8 +17,9 @@ enumerate as well as evaluate. A task returns (visited by order, lines,
 bscans); results are merged in root order, and the graph6 lines are only
 read as a set, so output is identical for every worker count. An external
 source stream is cut into tasks of _SOURCE_CHUNK graphs instead, whatever
-their orders; each task counts its graphs by order itself. A stream graph
-of order above max_n is refused with ValueError.
+their orders; each task counts its graphs by order itself. _sweep is the
+one gate of every sweep: it refuses out-of-range max_n or jobs, and a stream
+graph of order above max_n, with ValueError before anything runs.
 An enumerated sweep can checkpoint into an append-only journal: a JSON
 header line naming the sweep (task, class, level = max_n, split, the number
 of subtree tasks, and the enumerator version, since records follow the
@@ -68,7 +69,6 @@ from .recognition import check_threshold_theorem, is_threshold, is_threshold_by_
 
 _SOURCE_CHUNK = 512
 _SPLIT = 6
-HC_MINE_MAX = 9
 
 
 # Class predicates ------------------------------------------------------------
@@ -185,12 +185,21 @@ def _conjecture_chunk(class_name: str, graphs: Iterable[Graph]) -> tuple[list[st
     return lines, bscans
 
 
+def _threshold_chunk(class_name: str, graphs: Iterable[Graph]) -> tuple[list[str], int]:
+    """Graphs on which the three threshold tests disagree; class_name is unused."""
+    lines = [emit_graph6(g) for g in graphs
+             if not (is_threshold(g) == is_threshold_by_obstructions(g)
+                     == check_threshold_theorem(g))]
+    return lines, 0
+
+
 def _work(task) -> tuple[dict[int, int], list[str], int]:
-    """Run one task through its chunk function (_mine_chunk or
-    _conjecture_chunk, which return the graph6 lines found in visit order and
-    the B-scans run). A task (chunk, class, root, max_n) visits the subtree
-    below root down to order max_n; (chunk, class, graphs, None) visits the
-    listed graphs. Returns (visited by order, lines, bscans).
+    """Run one task through its chunk function (_mine_chunk,
+    _conjecture_chunk or _threshold_chunk, which return the graph6 lines
+    found in visit order and the B-scans run). A task (chunk, class, root,
+    max_n) visits the subtree below root down to order max_n; (chunk, class,
+    graphs, None) visits the listed graphs. Returns (visited by order, lines,
+    bscans).
     """
     chunk, class_name, graphs, max_n = task
     if max_n is not None:
@@ -300,7 +309,14 @@ def _sweep(chunk, class_name: str, max_n: int, jobs: int,
     into tasks of _SOURCE_CHUNK graphs. Task results, journaled ones
     first, go through add in task order, so lines keep visit order. Returns
     (visited_by_order, lines, bscans).
+
+    Raises ValueError, before any journal, task or worker exists, unless
+    max_n >= 1, jobs >= 1, and max_n is within the enumerator (enumerated)
+    or no stream graph exceeds it (source).
     """
+    if max_n < 1 or jobs < 1:
+        raise ValueError(
+            f"a sweep needs max_n >= 1 and jobs >= 1, got max_n={max_n}, jobs={jobs}")
     visited_by_order: dict[int, int] = {}
     lines: list[str] = []
     bscans = 0
@@ -450,7 +466,10 @@ class Theorem27Report:
 
 
 def verify_theorem_27(max_n: int = 8, *, jobs: int = 1) -> Theorem27Report:
-    """Mine the sum-perfect obstructions and compare them with the built family."""
+    """Mine the sum-perfect obstructions and compare them with the built
+    family; max_n must reach 7, the order of members 26 and 27."""
+    if max_n < 7:
+        raise ValueError(f"theorem27 needs max_n >= 7 for its 7-vertex members, got {max_n}")
     result = mine_forbidden("sum-perfect", max_n, jobs=jobs)
     fam = build_family()
     mined_small = {k for k, g in result.certificates if g.n <= 7}
@@ -481,24 +500,15 @@ class ThresholdReport:
         return not self.disagreements
 
 
-def verify_threshold_equivalence(max_n: int = 7) -> ThresholdReport:
+def verify_threshold_equivalence(max_n: int = 7, *, jobs: int = 1) -> ThresholdReport:
     """Elimination ordering, {P4,C4,2K2}-freeness, and the all-subgraphs
-    alpha + omega = |V| + 1 test must agree on every graph up to max_n."""
-    checked = 0
-    bad: list[str] = []
-    for n in range(0, max_n + 1):
-        for g in graphs_of_order(n):
-            checked += 1
-            a = is_threshold(g)
-            b = is_threshold_by_obstructions(g)
-            c = check_threshold_theorem(g)
-            if not (a == b == c):
-                bad.append(emit_graph6(g))
-    return ThresholdReport(max_n=max_n, checked=checked, disagreements=bad)
+    alpha + omega = |V| + 1 test must agree on every graph of order 1..max_n;
+    checked counts the graphs the sweep visits."""
+    visited_by_order, bad, _ = _sweep(_threshold_chunk, "threshold", max_n, jobs, None)
+    return ThresholdReport(max_n=max_n, checked=sum(visited_by_order.values()),
+                           disagreements=bad)
 
 
 def count_hc_forbidden(c: int, max_n: int, *, jobs: int = 1) -> int:
-    """Number of minimal forbidden graphs for the deficiency-c class."""
-    if max_n > HC_MINE_MAX:
-        raise ValueError(f"deficiency mining supports max_n <= {HC_MINE_MAX}")
+    """Number of minimal forbidden graphs of order <= max_n for the deficiency-c class."""
     return mine_forbidden(f"deficiency:{c}", max_n, jobs=jobs).total

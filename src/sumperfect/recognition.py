@@ -26,7 +26,6 @@ from .graphs import (
 )
 from .induced import Embedding, PatternSet
 from .invariants import (
-    LOVASZ_MAX,
     StableCliquePair,
     has_deficiency_above,
     max_clique,
@@ -149,12 +148,10 @@ def check_threshold_theorem(g: Graph) -> bool:
     """True iff every non-empty induced subgraph has alpha + omega = |V| + 1.
 
     Deficit is never below -1, so this is equivalent to no induced subgraph
-    having deficit above -1.
+    having deficit above -1; the subset scan refuses n > 20 (DEFICIENCY_MAX).
     """
     if g.n == 0:
         return True
-    if g.n > LOVASZ_MAX:
-        raise ValueError(f"subgraph scan supports n <= {LOVASZ_MAX}, got {g.n}")
     return not has_deficiency_above(g, -1)
 
 

@@ -122,7 +122,9 @@ def test_acceptance_6_threshold_theorem():
     """Elimination, obstruction, and deficit characterizations agree, n <= 7."""
     rep = verify_threshold_equivalence(7)
     assert rep.passed
-    for g in (from_edge_list(1, []), from_edge_list(4, [(0, 1), (1, 2), (2, 3)])):
+    # The sweep visits orders 1..7; the empty graph is checked here.
+    p4 = from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
+    for g in (from_edge_list(0, []), from_edge_list(1, []), p4):
         assert (
             is_threshold(g)
             == is_threshold_by_obstructions(g)

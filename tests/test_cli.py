@@ -6,6 +6,7 @@ import random
 import pytest
 
 from sumperfect.cli import main
+from sumperfect.enumeration import ENUM_MAX
 from sumperfect.graph6 import emit_graph6, parse_graph6
 from sumperfect.graphs import cycle_graph, from_edge_list
 from sumperfect.invariants import DEFICIENCY_MAX, LOVASZ_MAX
@@ -211,6 +212,13 @@ def test_verify_threshold_pass(capsys):
     assert "threshold: PASS" in out
 
 
+def test_verify_threshold_stdout_is_independent_of_jobs(capsys):
+    outs = [run(capsys, "verify", "threshold", "--max-n", "7", "--jobs", jobs)
+            for jobs in ("1", "2")]
+    assert outs[0][0] == outs[1][0] == 0
+    assert outs[0][1] == outs[1][1]
+
+
 def test_verify_theorem27_small(capsys):
     code, out, _ = run(capsys, "verify", "theorem27", "--max-n", "7", "--jobs", "1")
     assert code == 0
@@ -224,11 +232,23 @@ def test_verify_conjecture_small(capsys):
 
 
 def test_verify_envelope_usage_error(capsys):
-    code, _, err = run(capsys, "verify", "conjecture", "--max-n", "11")
-    assert code == 2 and "max-n" in err
+    code, _, err = run(capsys, "verify", "conjecture", "--max-n", str(ENUM_MAX + 1))
+    assert code == 2 and f"enumeration supports n <= {ENUM_MAX}" in err
     # Below order 7 the two 7-vertex members cannot appear.
     code, _, err = run(capsys, "verify", "theorem27", "--max-n", "6")
-    assert code == 2 and "7..9" in err
+    assert code == 2 and "max_n >= 7" in err
+
+
+@pytest.mark.parametrize("bad", [("--max-n", "0"), ("--max-n", str(ENUM_MAX + 1)),
+                                 ("--max-n", "4", "--jobs", "0")])
+@pytest.mark.parametrize("argv", [("mine", "--class", "sum-perfect"),
+                                  ("verify", "conjecture")])
+def test_refused_sweep_leaves_no_checkpoint(tmp_path, capsys, argv, bad):
+    ckpt = tmp_path / "c.ckpt"
+    code, out, err = run(capsys, *argv, *bad, "--checkpoint", str(ckpt))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert not ckpt.exists()
 
 
 @pytest.mark.parametrize("cls, limit", [("perfect", LOVASZ_MAX),

@@ -6,6 +6,7 @@ import pytest
 
 import sumperfect.mining as mining
 from sumperfect.canon import canonical_key
+from sumperfect.enumeration import ENUM_MAX
 from sumperfect.family import build_family
 from sumperfect.graph6 import emit_graph6, parse_graph6
 from sumperfect.graphs import (
@@ -405,12 +406,31 @@ def test_verify_conjecture_flags_counterexample(monkeypatch):
 def test_verify_threshold_equivalence():
     rep = verify_threshold_equivalence(6)
     assert rep.passed
-    assert rep.checked == 1 + 1 + 2 + 4 + 11 + 34 + 156
+    assert rep.checked == 1 + 2 + 4 + 11 + 34 + 156  # orders 1..6
+
+
+def test_verify_threshold_equivalence_is_independent_of_jobs():
+    assert verify_threshold_equivalence(7, jobs=2) == verify_threshold_equivalence(7)
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda: verify_conjecture(0),
+    lambda: mine_forbidden("sum-perfect", 0),
+    lambda: verify_threshold_equivalence(0),
+    lambda: verify_theorem_27(6),
+    lambda: mine_forbidden("sum-perfect", 4, jobs=0),
+    lambda: mine_forbidden("sum-perfect", 4, jobs=-3),
+], ids=["conjecture-0", "mine-0", "threshold-0", "theorem27-6", "jobs-0", "jobs-minus-3"])
+def test_sweeps_refuse_out_of_range_arguments(sweep):
+    with pytest.raises(ValueError):
+        sweep()
 
 
 def test_count_hc_envelope():
-    with pytest.raises(ValueError):
-        count_hc_forbidden(1, 10)
+    # The enumerator's bound. ENUM_MAX itself is accepted, but it is a full
+    # n = 10 mine, so only the refusal is tested.
+    with pytest.raises(ValueError, match=f"n <= {ENUM_MAX}"):
+        count_hc_forbidden(1, ENUM_MAX + 1)
     assert count_hc_forbidden(1, 5) == 0
     assert count_hc_forbidden(0, 6) == 25
 
