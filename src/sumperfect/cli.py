@@ -235,10 +235,12 @@ def cmd_mine(args) -> int:
 # verify --------------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
+    # Each target's default max-n is its library function's.
+    sized = {} if args.max_n is None else {"max_n": args.max_n}
     if args.target == "theorem27":
-        report = verify_theorem_27(args.max_n, jobs=args.jobs)
+        report = verify_theorem_27(**sized, jobs=args.jobs)
         counts = report.mine.counts_by_order
-        print(f"visited {report.mine.visited} graphs up to n={args.max_n}")
+        print(f"visited {report.mine.visited} graphs up to n={report.mine.max_n}")
         print(f"minimal forbidden counts by order: {dict(sorted(counts.items()))}")
         print(f"family keys match: {report.keys_match_family}")
         print(f"per-order counts {{5:1, 6:24, 7:2}}: {report.counts_by_order_ok}")
@@ -253,9 +255,7 @@ def cmd_verify(args) -> int:
                 print(f"counterexample: {emit_graph6(g)}")
         return EXIT_COUNTEREXAMPLE
     if args.target == "conjecture":
-        report = verify_conjecture(
-            args.max_n, jobs=args.jobs, checkpoint=args.checkpoint
-        )
+        report = verify_conjecture(**sized, jobs=args.jobs, checkpoint=args.checkpoint)
         print(f"visited by order: {dict(sorted(report.visited_by_order.items()))}")
         print(f"graphs needing the obstruction scan: {report.deficient_scanned}")
         print(f"counterexamples: {len(report.counterexamples)}")
@@ -265,8 +265,8 @@ def cmd_verify(args) -> int:
         print("conjecture: FAIL")
         print(f"counterexample: {report.counterexamples[0]}")
         return EXIT_COUNTEREXAMPLE
-    report = verify_threshold_equivalence(args.max_n, jobs=args.jobs)
-    print(f"checked {report.checked} graphs up to n={args.max_n}")
+    report = verify_threshold_equivalence(**sized, jobs=args.jobs)
+    print(f"checked {report.checked} graphs up to n={report.max_n}")
     print(f"disagreements: {len(report.disagreements)}")
     if report.passed:
         print("threshold: PASS")
@@ -333,21 +333,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_VERIFY_DEFAULT_MAX_N = {"theorem27": 8, "conjecture": 9, "threshold": 7}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    if args.command == "verify":
-        if args.max_n is None:
-            args.max_n = _VERIFY_DEFAULT_MAX_N[args.target]
-        if args.checkpoint and args.target != "conjecture":
-            print(f"error: verify {args.target} cannot checkpoint", file=sys.stderr)
-            return EXIT_USAGE
+    if args.command == "verify" and args.checkpoint and args.target != "conjecture":
+        print(f"error: verify {args.target} cannot checkpoint", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.fn(args)
     except (OSError, ValueError) as exc:

@@ -154,7 +154,6 @@ def stream_graphs(n: int) -> Iterator[Graph]:
     """Stream the order-n representatives: the order-n graphs of the
     depth-first walk from the root, without materialising the level (n = 0
     yields the root). A depth-first walk meets each level in level order."""
-    check_order(n)
     if n == 0:
         yield _ROOT
     for g in descendants(_ROOT, n):
@@ -164,9 +163,14 @@ def stream_graphs(n: int) -> Iterator[Graph]:
 
 def descendants(root: Graph, max_n: int) -> Iterator[Graph]:
     """Every graph below root in the generation tree, down to order max_n,
-    depth-first: each child is followed by its own descendants."""
+    depth-first: each child is followed by its own descendants. max_n is
+    checked here, once per walk."""
     check_order(max_n)
-    if root.n < max_n:
-        for child in _children(root):
-            yield child
-            yield from descendants(child, max_n)
+
+    def walk(parent: Graph) -> Iterator[Graph]:
+        if parent.n < max_n:
+            for child in _children(parent):
+                yield child
+                yield from walk(child)
+
+    return walk(root)

@@ -21,13 +21,12 @@ LOVASZ_MAX = 16
 
 # Maximum clique branch-and-bound ------------------------------------------
 
-def _clique_bb(n: int, adj: tuple[int, ...], sub: int) -> tuple[int, int]:
-    """(size, mask) of some maximum clique inside the vertex subset `sub`."""
+def _clique_bb(adj: tuple[int, ...], sub: int) -> int:
+    """Size of a maximum clique inside the vertex subset `sub`."""
     best = 0
-    best_mask = 0
 
-    def expand(rmask: int, rsize: int, cand: int):
-        nonlocal best, best_mask
+    def expand(rsize: int, cand: int):
+        nonlocal best
         # Greedy colouring of the candidates: vertices sharing a colour class
         # are pairwise non-adjacent, so rsize + colour is an upper bound.
         order: list[int] = []
@@ -52,15 +51,14 @@ def _clique_bb(n: int, adj: tuple[int, ...], sub: int) -> tuple[int, int]:
             bit = 1 << v
             newcand = cand & adj[v]
             if newcand:
-                expand(rmask | bit, rsize + 1, newcand)
+                expand(rsize + 1, newcand)
             elif rsize + 1 > best:
                 best = rsize + 1
-                best_mask = rmask | bit
             cand ^= bit
 
     if sub:
-        expand(0, 0, sub)
-    return best, best_mask
+        expand(0, sub)
+    return best
 
 
 def stability_number(g: Graph) -> int:
@@ -70,7 +68,7 @@ def stability_number(g: Graph) -> int:
 
 def clique_number(g: Graph) -> int:
     """omega: the maximum size of a clique (= alpha of the complement)."""
-    return _clique_bb(g.n, g.adj, g.vertex_mask())[0]
+    return _clique_bb(g.adj, g.vertex_mask())
 
 
 def _lex_min_optimum(n: int, rows: tuple[int, ...], total: int) -> int:
@@ -83,7 +81,7 @@ def _lex_min_optimum(n: int, rows: tuple[int, ...], total: int) -> int:
         if not avail & bit:
             continue
         shrunk = avail & rows[v]
-        if _clique_bb(n, rows, shrunk)[0] == remaining - 1:
+        if _clique_bb(rows, shrunk) == remaining - 1:
             chosen |= bit
             avail = shrunk
             remaining -= 1
@@ -99,7 +97,7 @@ def max_stable_set(g: Graph) -> int:
 
 def max_clique(g: Graph) -> int:
     """Lexicographically smallest maximum clique, as a bitmask."""
-    total = _clique_bb(g.n, g.adj, g.vertex_mask())[0]
+    total = _clique_bb(g.adj, g.vertex_mask())
     return _lex_min_optimum(g.n, g.adj, total)
 
 

@@ -11,8 +11,9 @@ some g - v. Threshold is decided by elimination instead; a non-member is
 minimal forbidden iff each one-vertex deletion is a member, and each is tested.
 A sweep to max_n cuts the generation tree at the split order
 s = min(_SPLIT, max_n - 1), as geng's res/mod splitting does: the main
-process visits orders 1..s itself, and each graph of order s is the root of
-one task that walks its subtree depth-first down to max_n, so workers
+process visits orders 1..s itself, as one task over one walk of that prefix,
+and each order-s graph of the walk (the empty graph when s = 0) is the root
+of one task that walks its subtree depth-first down to max_n, so workers
 enumerate as well as evaluate. A task returns (visited by order, lines,
 bscans); results are merged in root order, and the graph6 lines are only
 read as a set, so output is identical for every worker count. An external
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import json
 import multiprocessing
-import os
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -49,7 +49,6 @@ from .enumeration import (
     check_order,
     children_of,
     descendants,
-    graphs_of_order,
 )
 from .family import build_conjecture_family, build_family
 from .graph6 import emit_graph6, parse_graph6
@@ -228,17 +227,6 @@ def _map_tasks(tasks: list, jobs: int) -> Iterator:
 
 # Checkpoint journal ------------------------------------------------------------
 
-@dataclass
-class _Checkpoint:
-    """A checkpoint journal as read back: its header, the results of the
-    subtree tasks it records, in order, and the byte length of its complete
-    lines."""
-
-    header: dict
-    results: list[tuple[dict[int, int], list[str], int]]
-    end: int
-
-
 def _is_record(rec) -> bool:
     return (isinstance(rec, list) and len(rec) == 3 and type(rec[2]) is int
             and isinstance(rec[0], dict)
@@ -246,56 +234,51 @@ def _is_record(rec) -> bool:
             and isinstance(rec[1], list) and all(isinstance(x, str) for x in rec[1]))
 
 
-def _load_checkpoint(path: str, expected: dict | None = None) -> _Checkpoint | None:
-    """Read a journal; None if the file is missing or empty. A header other
-    than expected (when given) is refused, even over records of an older
-    format. A last line without its newline is a torn write: it is dropped,
-    and end stops before it so that appending cuts it off. Any other
-    unreadable line is an error.
+def _open_journal(path: str, header: dict) -> list[tuple[dict[int, int], list[str], int]]:
+    """Open the journal at path for the sweep that header names and return
+    the subtree results it records, in order; a missing or empty file is
+    started with the header. A header other than this one is refused, even
+    over records of an older format. A last line without its newline is a
+    torn write: it is dropped and cut off, so the next record starts a fresh
+    line. Any other unreadable line (so a non-empty file without a complete
+    line, which has no header), or more records than header["tasks"], is
+    refused with ValueError before the file is changed.
     """
-    if not os.path.exists(path):
-        return None
-    with open(path, "rb") as fh:
-        data = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        data = b""
     if not data:
-        return None
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(json.dumps(header, sort_keys=True) + "\n")
+        return []
     end = data.rfind(b"\n") + 1
     rows = data[:end].splitlines()
     try:
-        header = json.loads(rows[0]) if rows else None
+        found = json.loads(rows[0]) if rows else None
         records = [json.loads(row) for row in rows[1:]]
     except ValueError:
-        header = records = None
-    if isinstance(header, dict) and expected is not None and header != expected:
+        found = records = None
+    if isinstance(found, dict) and found != header:
         raise ValueError(
-            f"checkpoint {path!r} was written for {json.dumps(header, sort_keys=True)}, "
-            f"not {json.dumps(expected, sort_keys=True)}"
+            f"checkpoint {path!r} was written for {json.dumps(found, sort_keys=True)}, "
+            f"not {json.dumps(header, sort_keys=True)}"
         )
-    if not isinstance(header, dict) or not all(map(_is_record, records)):
+    if not isinstance(found, dict) or not all(map(_is_record, records)):
         raise ValueError(
             f"checkpoint {path!r} is not a readable checkpoint journal; "
             "delete it to start over"
         )
-    results = [({int(k): v for k, v in visited.items()}, found, scanned)
-               for visited, found, scanned in records]
-    return _Checkpoint(header, results, end)
-
-
-def _open_journal(path: str, header: dict) -> _Checkpoint:
-    """Load the journal at path for this sweep, or start one with its header."""
-    cp = _load_checkpoint(path, header)
-    if cp is None:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(json.dumps(header, sort_keys=True) + "\n")
-        return _Checkpoint(header, [], 0)
-    if len(cp.results) > header["tasks"]:
+    if len(records) > header["tasks"]:
         raise ValueError(
-            f"checkpoint {path!r} records {len(cp.results)} subtrees, "
+            f"checkpoint {path!r} records {len(records)} subtrees, "
             f"but the sweep has only {header['tasks']}"
         )
     with open(path, "r+b") as fh:
-        fh.truncate(cp.end)
-    return cp
+        fh.truncate(end)
+    return [({int(k): v for k, v in visited.items()}, lines, bscans)
+            for visited, lines, bscans in records]
 
 
 # Sweeps -------------------------------------------------------------------------
@@ -304,11 +287,12 @@ def _sweep(chunk, class_name: str, max_n: int, jobs: int,
            checkpoint: str | None, source: Iterable[Graph] | None = None):
     """Visit every graph of order 1..max_n (or of an external stream) once.
 
-    An enumerated sweep visits the orders up to the split here and runs one
-    task per subtree below it (see the module docstring); a stream is cut
-    into tasks of _SOURCE_CHUNK graphs. Task results, journaled ones
-    first, go through add in task order, so lines keep visit order. Returns
-    (visited_by_order, lines, bscans).
+    An enumerated sweep walks the orders up to the split once and visits
+    that prefix here as one task; the prefix's order-split graphs (the empty
+    graph when the split is 0) root one task each (see the module
+    docstring). A stream is cut into tasks of _SOURCE_CHUNK graphs. Task
+    results, journaled ones first, go through add in task order, so lines
+    keep visit order. Returns (visited_by_order, lines, bscans).
 
     Raises ValueError, before any journal, task or worker exists, unless
     max_n >= 1, jobs >= 1, and max_n is within the enumerator (enumerated)
@@ -342,14 +326,16 @@ def _sweep(chunk, class_name: str, max_n: int, jobs: int,
     else:
         check_order(max_n)
         split = max(0, min(_SPLIT, max_n - 1))
-        tasks = [(chunk, class_name, root, max_n) for root in graphs_of_order(split)]
+        empty = Graph(0, ())
+        head = list(descendants(empty, split))
+        roots = [g for g in head if g.n == split] if split else [empty]
+        tasks = [(chunk, class_name, root, max_n) for root in roots]
         if checkpoint:
             header = {"task": chunk.__name__, "class": class_name, "level": max_n,
                       "split": split, "tasks": len(tasks),
                       "enumerator": ENUMERATOR_VERSION}
-            done = _open_journal(checkpoint, header).results
-        for n in range(1, split + 1):
-            add(_work((chunk, class_name, graphs_of_order(n), None)))
+            done = _open_journal(checkpoint, header)
+        add(_work((chunk, class_name, head, None)))
     for result in done:
         add(result)
     for result in _map_tasks(tasks[len(done):], jobs):
@@ -429,7 +415,7 @@ class ConjectureReport:
         return not self.counterexamples
 
 
-def verify_conjecture(max_n: int, *, jobs: int = 1,
+def verify_conjecture(max_n: int = 9, *, jobs: int = 1,
                       checkpoint: str | None = None) -> ConjectureReport:
     """Check that every graph up to order max_n avoiding all 24 six-vertex
     obstructions has alpha + omega >= n - 1; reports any counterexamples

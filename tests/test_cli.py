@@ -290,6 +290,20 @@ def test_verify_refuses_checkpoint(tmp_path, capsys, target):
     assert not ckpt.exists()
 
 
+@pytest.mark.parametrize("data", [b'{"class": "sum-perfect", "lev', b"my notes"])
+@pytest.mark.parametrize("argv", [("mine", "--class", "sum-perfect"),
+                                  ("verify", "conjecture")])
+def test_checkpoint_without_a_complete_line_is_left_alone(tmp_path, capsys, argv, data):
+    # A torn header, or some other file passed by mistake, is not an empty
+    # journal: it is refused, not overwritten.
+    ckpt = tmp_path / "c.ckpt"
+    ckpt.write_bytes(data)
+    code, out, err = run(capsys, *argv, "--max-n", "5", "--jobs", "1",
+                         "--checkpoint", str(ckpt))
+    assert code == 2 and out == "" and "checkpoint" in err
+    assert ckpt.read_bytes() == data
+
+
 def test_directory_input_is_a_file_error(tmp_path, capsys):
     code, out, err = run(capsys, "recognize", str(tmp_path))
     assert code == 2 and out == ""

@@ -90,6 +90,16 @@ def test_subtrees_list_each_level_in_order():
         list(descendants(roots[0], 11))
 
 
+def test_walk_checks_its_order_once(monkeypatch):
+    import sumperfect.enumeration as enumeration
+
+    calls = []
+    real_check = enumeration.check_order
+    monkeypatch.setattr(enumeration, "check_order", lambda n: calls.append(n) or real_check(n))
+    assert len(list(descendants(Graph(0, ()), 8))) == sum(COUNTS[n] for n in range(1, 9))
+    assert calls == [8]
+
+
 def test_envelope_errors():
     with pytest.raises(ValueError):
         graphs_of_order(11)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -148,6 +149,14 @@ def test_mine_source_refuses_graphs_above_max_n():
         mine_forbidden("sum-perfect", 5, source=gs)
 
 
+def _journal(path) -> tuple[dict, list]:
+    """(header, records) of a checkpoint journal, from its complete lines."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    header, *records = map(json.loads, data[: data.rfind(b"\n") + 1].splitlines())
+    return header, records
+
+
 def _interrupt(monkeypatch, calls: int, sweep) -> None:
     """Run sweep() with _work raising KeyboardInterrupt on call calls + 1."""
     made = {"n": 0}
@@ -167,16 +176,26 @@ def _interrupt(monkeypatch, calls: int, sweep) -> None:
 
 def _interrupt_level_6(path, monkeypatch):
     """Mine sum-perfect to 6 with a checkpoint, cut off inside level 6."""
-    # Levels 1..5 are visited in 5 calls; level 6 is 34 subtree tasks.
-    _interrupt(monkeypatch, 12, lambda: mine_forbidden("sum-perfect", 6, checkpoint=path))
+    # Levels 1..5 are visited in 1 call; level 6 is 34 subtree tasks.
+    _interrupt(monkeypatch, 8, lambda: mine_forbidden("sum-perfect", 6, checkpoint=path))
+
+
+def test_sweep_visits_its_prefix_in_one_task(monkeypatch):
+    # One task for levels 1..5, then one per six-vertex subtree root.
+    calls = []
+    real_work = mining._work
+    monkeypatch.setattr(mining, "_work", lambda task: calls.append(task) or real_work(task))
+    mine_forbidden("sum-perfect", 6, jobs=1)
+    assert len(calls) == 1 + 34
+    assert len(calls[0][2]) == 1 + 2 + 4 + 11 + 34
 
 
 def test_checkpoint_resume_mid_level(tmp_path, monkeypatch):
     path = str(tmp_path / "mine.ckpt")
     _interrupt_level_6(path, monkeypatch)
 
-    cp = mining._load_checkpoint(path)
-    assert cp is not None and cp.header["level"] == 6 and 0 < len(cp.results) < 34
+    header, records = _journal(path)
+    assert header["level"] == 6 and 0 < len(records) < 34
 
     resumed = mine_forbidden("sum-perfect", 6, checkpoint=path)
     clean = mine_forbidden("sum-perfect", 6)
@@ -187,11 +206,11 @@ def test_checkpoint_resume_mid_level(tmp_path, monkeypatch):
 def test_checkpoint_resume_after_torn_last_line(tmp_path, monkeypatch):
     path = tmp_path / "mine.ckpt"
     _interrupt_level_6(str(path), monkeypatch)
-    done = len(mining._load_checkpoint(str(path)).results)
+    done = len(_journal(path)[1])
     # Cut the last record mid-line, as a crash during its write would.
     data = path.read_bytes()
     path.write_bytes(data[: data.rstrip(b"\n").rfind(b"\n") + 6])
-    assert len(mining._load_checkpoint(str(path)).results) == done - 1
+    assert len(_journal(path)[1]) == done - 1
 
     resumed = mine_forbidden("sum-perfect", 6, checkpoint=str(path))
     clean = mine_forbidden("sum-perfect", 6)
@@ -199,21 +218,21 @@ def test_checkpoint_resume_after_torn_last_line(tmp_path, monkeypatch):
     assert resumed.visited == clean.visited
     # The rerun chunk's record starts on a fresh line: every line parses.
     assert path.read_bytes().endswith(b"\n")
-    assert len(mining._load_checkpoint(str(path)).results) == 34
+    assert len(_journal(path)[1]) == 34
 
 
 def test_conjecture_resumed_with_more_jobs_equals_clean_run(tmp_path, monkeypatch):
     path = str(tmp_path / "conj.ckpt")
-    # Levels 1..6 take 6 calls, then 54 of the 156 subtree tasks complete.
-    _interrupt(monkeypatch, 60, lambda: verify_conjecture(7, checkpoint=path, jobs=1))
-    assert len(mining._load_checkpoint(path).results) == 54
+    # Levels 1..6 take 1 call, then 54 of the 156 subtree tasks complete.
+    _interrupt(monkeypatch, 55, lambda: verify_conjecture(7, checkpoint=path, jobs=1))
+    assert len(_journal(path)[1]) == 54
 
     resumed = verify_conjecture(7, checkpoint=path, jobs=2)
     clean = verify_conjecture(7, jobs=1)
     assert resumed.visited_by_order == clean.visited_by_order
     assert resumed.deficient_scanned == clean.deficient_scanned == 18
     assert resumed.counterexamples == clean.counterexamples == []
-    assert len(mining._load_checkpoint(path).results) == 156
+    assert len(_journal(path)[1]) == 156
 
 
 def test_checkpoint_refuses_more_records_than_subtrees(tmp_path):
@@ -248,8 +267,6 @@ def test_checkpoint_refuses_unreadable_journals(tmp_path):
 
 
 def test_checkpoint_rejects_mismatched_params(tmp_path):
-    import json
-
     path = tmp_path / "mine.ckpt"
     mine_forbidden("sum-perfect", 5, checkpoint=str(path))
     with pytest.raises(ValueError):
@@ -275,8 +292,6 @@ def test_checkpoint_refuses_journal_of_previous_enumerator(tmp_path):
     # A journal as written before the enumerator version joined the header:
     # its chunks cut a level listed in another order, so resuming over it
     # could skip graphs and still pass.
-    import json
-
     from sumperfect.cli import main
 
     path = tmp_path / "old.ckpt"
