@@ -58,7 +58,6 @@ from .mining import (
     verify_threshold_equivalence,
 )
 from .recognition import (
-    Witness,
     check_threshold_theorem,
     is_apex_threshold,
     is_split,

@@ -96,12 +96,11 @@ def _read_graphs(path: str, fmt: str) -> Iterator[tuple[str, Graph | FormatError
 
 def _analysis_record(gid: str, g: Graph) -> dict:
     report = compute_report(g)
-    verdict, witness = is_sum_perfect(g)
+    verdict, ev = is_sum_perfect(g)
     rec: dict = {"id": gid, **report.to_dict(), "sum_perfect": verdict}
-    wv = witness_vertices(witness)
+    wv = witness_vertices(ev)
     rec["witness_kind"] = wv.pop("kind")
     rec["witness"] = wv
-    ev = witness.evidence
     rec["forbidden_index"] = ev.index if isinstance(ev, ForbiddenCopy) else None
     rec["forbidden_name"] = ev.name if isinstance(ev, ForbiddenCopy) else None
     rec["threshold"] = is_threshold(g)
@@ -181,8 +180,7 @@ def cmd_recognize(args) -> int:
             print(f"parse error: {gid}: {g}", file=sys.stderr)
             failed = True
             continue
-        verdict, witness = is_sum_perfect(g)
-        ev = witness.evidence
+        verdict, ev = is_sum_perfect(g)
         rec = {
             "id": gid,
             "verdict": verdict,
@@ -192,7 +190,7 @@ def cmd_recognize(args) -> int:
             "forbidden_name": ev.name if isinstance(ev, ForbiddenCopy) else None,
         }
         if args.witness or args.all_witnesses or not verdict:
-            wv = witness_vertices(witness)
+            wv = witness_vertices(ev)
             rec["witness_kind"] = wv.pop("kind")
             rec["witness_vertices"] = wv.get("vertices", wv or None)
         if args.all_witnesses and not verdict:

@@ -22,7 +22,7 @@ from .graphs import (
     from_edge_list,
     is_connected,
 )
-from .induced import contains_induced
+from .induced import PatternSet
 from .invariants import (
     clique_number,
     deficit,
@@ -214,15 +214,12 @@ def verify_family() -> FamilyReport:
         m.index for m in fam if not is_connected(m.graph)
     } == set(DISCONNECTED_INDICES)
 
-    minimal = True
-    for m in fam:
-        for other in fam:
-            if other.index == m.index or other.graph.n > m.graph.n:
-                continue
-            if other.graph.n == m.graph.n:
-                continue  # distinct same-order members cannot nest
-            if contains_induced(m.graph, other.graph) is not None:
-                minimal = False
+    # A same-order copy of a member is the member itself, and larger members
+    # cannot embed, so minimal iff each member holds only its own copy.
+    patterns = PatternSet([(m.index, m.graph) for m in fam])
+    minimal = all(
+        [hit.label for hit in patterns.scan(m.graph)] == [m.index] for m in fam
+    )
 
     return FamilyReport(
         member_checks=tuple(checks),

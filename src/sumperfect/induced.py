@@ -16,11 +16,12 @@ family this rules out every subset holding a K4 or a stable 4-set, and at
 size 5 (C5 alone) every triangle and stable triple.
 
 A full subset that survives is filtered by its shape (edge count, sorted
-degrees, triangle count), computed from masks by the same helper that
-indexes the patterns. Only a subset whose shape matches some pattern is
-built as a Graph and canonically labelled, and its key is looked up among
-the pattern keys. The pruning only skips subsets that no pattern can match,
-so hits come out in exactly the order of a plain lexicographic scan.
+degrees, triangle count), computed from masks by invariants._shape, the
+helper that indexes the patterns and also gives triangle_count. Only a
+subset whose shape matches some pattern is built as a Graph and canonically
+labelled, and its key is looked up among the pattern keys. The pruning only
+skips subsets that no pattern can match, so hits come out in exactly the
+order of a plain lexicographic scan.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Iterator
 
 from .canon import canonical_labeling
 from .graphs import Graph, complement, induced_subgraph, vertices_of
-from .invariants import clique_number, stability_number
+from .invariants import _shape, clique_number, stability_number
 
 
 @dataclass(frozen=True)
@@ -41,26 +42,6 @@ class Embedding:
 
     def image(self) -> tuple[int, ...]:
         return tuple(sorted(self.mapping))
-
-
-def _shape(adj: tuple[int, ...], mask: int) -> tuple:
-    """(edges, sorted degrees, triangles) of the subgraph induced on mask."""
-    degrees = []
-    triangles = 0
-    rest = mask
-    while rest:
-        b = rest & -rest
-        rest ^= b
-        row = adj[b.bit_length() - 1] & mask
-        degrees.append(row.bit_count())
-        # Count each triangle once, from its lowest vertex and middle vertex.
-        later = row & rest
-        while later:
-            c = later & -later
-            later ^= c
-            triangles += (adj[c.bit_length() - 1] & later).bit_count()
-    degrees.sort()
-    return sum(degrees) // 2, tuple(degrees), triangles
 
 
 def _closers(adj: tuple[int, ...], s: int, t: int, common: int) -> int:

@@ -187,17 +187,29 @@ def matching_number(g: Graph) -> int:
     return size
 
 
+def _shape(adj: tuple[int, ...], mask: int) -> tuple:
+    """(edges, sorted degrees, triangles) of the subgraph induced on mask."""
+    degrees = []
+    triangles = 0
+    rest = mask
+    while rest:
+        b = rest & -rest
+        rest ^= b
+        row = adj[b.bit_length() - 1] & mask
+        degrees.append(row.bit_count())
+        # Count each triangle once, from its lowest vertex and middle vertex.
+        later = row & rest
+        while later:
+            c = later & -later
+            later ^= c
+            triangles += (adj[c.bit_length() - 1] & later).bit_count()
+    degrees.sort()
+    return sum(degrees) // 2, tuple(degrees), triangles
+
+
 def triangle_count(g: Graph) -> int:
     """Number of 3-subsets inducing a triangle (each counted once)."""
-    total = 0
-    for u in range(g.n):
-        row = g.adj[u] >> (u + 1)
-        while row:
-            b = row & -row
-            v = u + 1 + b.bit_length() - 1
-            row ^= b
-            total += (g.adj[u] & g.adj[v] & ~((1 << (v + 1)) - 1)).bit_count()
-    return total
+    return _shape(g.adj, g.vertex_mask())[2]
 
 
 # Deficiency -----------------------------------------------------------------
@@ -244,7 +256,6 @@ def _subset_dp(g: Graph, bound: list[list[int]],
     size = 1 << n
     at = [0] * size
     wt = [0] * size
-    pc = [0] * size
     best = -1
     best_mask: int | None = None
     for v, row in enumerate(g.adj):
@@ -260,9 +271,7 @@ def _subset_dp(g: Graph, bound: list[list[int]],
             w2 = wt[rest & row] + 1
             w = w1 if w1 >= w2 else w2
             wt[s] = w
-            p = pc[rest] + 1
-            pc[s] = p
-            d = p - bound[a][w]
+            d = s.bit_count() - bound[a][w]
             if d > best:
                 best = d
                 best_mask = s

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import json
 import multiprocessing
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -325,7 +324,7 @@ def _sweep(chunk, class_name: str, max_n: int, jobs: int,
                  for i in range(0, len(graphs), _SOURCE_CHUNK)]
     else:
         check_order(max_n)
-        split = max(0, min(_SPLIT, max_n - 1))
+        split = min(_SPLIT, max_n - 1)
         empty = Graph(0, ())
         head = list(descendants(empty, split))
         roots = [g for g in head if g.n == split] if split else [empty]
@@ -355,7 +354,6 @@ class MineResult:
     counts_by_order: dict[int, int]
     certificates: list[tuple[bytes, Graph]]
     visited: int
-    elapsed: float
 
     @property
     def total(self) -> int:
@@ -380,7 +378,6 @@ def mine_forbidden(class_name: str, max_n: int, *, jobs: int = 1,
     (order, key), making the output independent of worker count.
     """
     get_predicate(class_name)  # validate the name before sweeping
-    start = time.monotonic()
     visited_by_order, lines, _ = _sweep(
         _mine_chunk, class_name, max_n, jobs, checkpoint, source
     )
@@ -398,7 +395,6 @@ def mine_forbidden(class_name: str, max_n: int, *, jobs: int = 1,
         counts_by_order=counts,
         certificates=certificates,
         visited=sum(visited_by_order.values()),
-        elapsed=time.monotonic() - start,
     )
 
 
@@ -408,7 +404,6 @@ class ConjectureReport:
     visited_by_order: dict[int, int]
     deficient_scanned: int
     counterexamples: list[str]
-    elapsed: float
 
     @property
     def passed(self) -> bool:
@@ -420,7 +415,6 @@ def verify_conjecture(max_n: int = 9, *, jobs: int = 1,
     """Check that every graph up to order max_n avoiding all 24 six-vertex
     obstructions has alpha + omega >= n - 1; reports any counterexamples
     (expected none)."""
-    start = time.monotonic()
     visited_by_order, bad, scanned = _sweep(
         _conjecture_chunk, "sum-perfect", max_n, jobs, checkpoint
     )
@@ -429,7 +423,6 @@ def verify_conjecture(max_n: int = 9, *, jobs: int = 1,
         visited_by_order=visited_by_order,
         deficient_scanned=scanned,
         counterexamples=sorted(set(bad)),
-        elapsed=time.monotonic() - start,
     )
 
 

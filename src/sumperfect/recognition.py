@@ -30,6 +30,7 @@ from .invariants import (
     has_deficiency_above,
     max_clique,
     max_stable_set,
+    validate_pair,
 )
 
 
@@ -40,12 +41,6 @@ class ForbiddenCopy:
     index: int
     name: str
     embedding: Embedding
-
-
-@dataclass(frozen=True)
-class Witness:
-    verdict: bool
-    evidence: ForbiddenCopy | StableCliquePair
 
 
 @lru_cache(maxsize=1)
@@ -65,14 +60,13 @@ def find_forbidden_copies(g: Graph, limit: int | None = 1) -> list[ForbiddenCopy
     ]
 
 
-def is_sum_perfect(g: Graph) -> tuple[bool, Witness]:
-    """Verdict plus witness: a forbidden copy, or a stable set/clique pair
+def is_sum_perfect(g: Graph) -> tuple[bool, ForbiddenCopy | StableCliquePair]:
+    """(verdict, evidence): a forbidden copy, or a stable set/clique pair
     certifying alpha + omega >= n for the whole graph."""
     copies = find_forbidden_copies(g, limit=1)
     if copies:
-        return False, Witness(False, copies[0])
-    pair = StableCliquePair(max_stable_set(g), max_clique(g))
-    return True, Witness(True, pair)
+        return False, copies[0]
+    return True, StableCliquePair(max_stable_set(g), max_clique(g))
 
 
 def is_threshold(g: Graph) -> bool:
@@ -127,12 +121,8 @@ def is_split(g: Graph) -> tuple[int, int] | None:
         return None
     clique = mask_of(order[:m])
     stable = mask_of(order[m:])
-    for v in order[:m]:
-        if (g.adj[v] & clique) != clique ^ (1 << v):
-            raise AssertionError("splittance equality without a valid partition")
-    for v in order[m:]:
-        if g.adj[v] & stable:
-            raise AssertionError("splittance equality without a valid partition")
+    if not validate_pair(g, StableCliquePair(stable, clique)):
+        raise AssertionError("splittance equality without a valid partition")
     return clique, stable
 
 
@@ -155,9 +145,8 @@ def check_threshold_theorem(g: Graph) -> bool:
     return not has_deficiency_above(g, -1)
 
 
-def witness_vertices(w: Witness) -> dict:
+def witness_vertices(ev: ForbiddenCopy | StableCliquePair) -> dict:
     """JSON-ready view of a witness's vertex content."""
-    ev = w.evidence
     if isinstance(ev, ForbiddenCopy):
         return {"kind": "forbidden_copy", "vertices": list(ev.embedding.mapping)}
     return {

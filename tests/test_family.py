@@ -1,14 +1,24 @@
 from __future__ import annotations
 
+import sumperfect.family as family
 from sumperfect.canon import canonical_key, is_isomorphic
 from sumperfect.family import (
     DISCONNECTED_INDICES,
+    FamilyMember,
+    ForbiddenFamily,
     build_conjecture_family,
     build_family,
     enumerate_bipartite_pm6,
     verify_family,
 )
-from sumperfect.graphs import bipartition, complement, cycle_graph, is_connected
+from sumperfect.graphs import (
+    bipartition,
+    complement,
+    cycle_graph,
+    disjoint_union,
+    from_edge_list,
+    is_connected,
+)
 from sumperfect.invariants import (
     clique_number,
     matching_number,
@@ -99,6 +109,16 @@ def test_verify_family_passes():
     assert report.complement_closed
     assert report.minimal_as_set
     assert report.disconnected_match
+
+
+def test_verify_family_detects_a_non_minimal_member(monkeypatch, c5):
+    # C5 plus two isolated vertices holds member 1, so the set is not minimal.
+    fam = build_family()
+    g = disjoint_union(c5, from_edge_list(2, []))
+    fake = FamilyMember(26, "C5+2K1", g, canonical_key(g))
+    members = fam.members[:25] + (fake,) + fam.members[26:]
+    monkeypatch.setattr(family, "build_family", lambda: ForbiddenFamily(members))
+    assert not verify_family().minimal_as_set
 
 
 def test_h26_deletion_invariance(h26):

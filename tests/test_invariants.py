@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from oracles import (
@@ -178,6 +180,15 @@ def test_matching_triangles_vs_oracle(small_corpus):
     for n in range(0, 6):
         for g in small_corpus[n]:
             assert matching_number(g) == brute_matching(g)
+            assert triangle_count(g) == brute_triangles(g)
+
+
+def test_triangles_vs_oracle_on_random_graphs():
+    rng = random.Random(3)
+    for n in range(0, 21):
+        for p in (0.2, 0.5, 0.8):
+            edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+            g = from_edge_list(n, edges)
             assert triangle_count(g) == brute_triangles(g)
 
 

@@ -339,6 +339,11 @@ def test_conjecture_sweep_is_independent_of_jobs():
     assert one.counterexamples == two.counterexamples == []
 
 
+def test_equal_sweeps_give_equal_results():
+    assert verify_conjecture(6, jobs=2) == verify_conjecture(6)
+    assert mine_forbidden("sum-perfect", 6, jobs=2) == mine_forbidden("sum-perfect", 6)
+
+
 def test_pool_never_has_more_workers_than_tasks(monkeypatch):
     import multiprocessing
 

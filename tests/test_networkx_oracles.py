@@ -17,7 +17,12 @@ from sumperfect.canon import canonical_key
 from sumperfect.enumeration import graphs_of_order
 from sumperfect.graph6 import emit_graph6, parse_graph6
 from sumperfect.graphs import Graph, from_edge_list
-from sumperfect.invariants import clique_number, matching_number, stability_number
+from sumperfect.invariants import (
+    clique_number,
+    matching_number,
+    stability_number,
+    triangle_count,
+)
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +58,11 @@ def test_clique_and_stability_numbers_match_networkx(atlas):
         assert nx.max_weight_clique(G, weight=None)[1] == clique_number(g)
         co = nx.complement(G)
         assert nx.max_weight_clique(co, weight=None)[1] == stability_number(g)
+
+
+def test_triangle_count_matches_networkx(atlas):
+    for G, g in atlas:
+        assert triangle_count(g) == sum(nx.triangles(G).values()) // 3
 
 
 def test_matching_number_matches_networkx():
