@@ -5,11 +5,13 @@ import random
 
 import pytest
 
+import sumperfect.cli as cli
 from sumperfect.cli import main
 from sumperfect.enumeration import ENUM_MAX
 from sumperfect.graph6 import emit_graph6, parse_graph6
 from sumperfect.graphs import cycle_graph, from_edge_list
 from sumperfect.invariants import DEFICIENCY_MAX, LOVASZ_MAX
+from sumperfect.mining import ConjectureReport, MineResult, Theorem27Report, ThresholdReport
 
 
 def run(capsys, *argv):
@@ -231,6 +233,64 @@ def test_verify_conjecture_small(capsys):
     assert "conjecture: PASS" in out
 
 
+def test_verify_theorem27_fail_prints_every_large_certificate(capsys, monkeypatch):
+    certs = [(b"", cycle_graph(5)), (b"", cycle_graph(8)), (b"", cycle_graph(9))]
+    mine = MineResult("sum-perfect", 9, {9: 1, 5: 1, 8: 1}, certs, 100)
+    report = Theorem27Report(mine, False, False, False, True)
+    monkeypatch.setattr(cli, "verify_theorem_27", lambda **kw: report)
+    code, out, _ = run(capsys, "verify", "theorem27", "--max-n", "9")
+    assert code == 1
+    assert out == (
+        "visited 100 graphs up to n=9\n"
+        "minimal forbidden counts by order: {5: 1, 8: 1, 9: 1}\n"
+        "family keys match: False\n"
+        "per-order counts {5:1, 6:24, 7:2}: False\n"
+        "none above 7 vertices: False\n"
+        "max(alpha, omega) <= 3 on every certificate: True\n"
+        "theorem27: FAIL\n"
+        "counterexample: GhCGKC\n"
+        "counterexample: HhCGGE@\n"
+    )
+
+
+def test_verify_theorem27_fail_without_large_certificates(capsys, monkeypatch):
+    mine = MineResult("sum-perfect", 7, {5: 1}, [(b"", cycle_graph(5))], 10)
+    report = Theorem27Report(mine, False, False, True, True)
+    monkeypatch.setattr(cli, "verify_theorem_27", lambda **kw: report)
+    code, out, _ = run(capsys, "verify", "theorem27", "--max-n", "7")
+    assert code == 1
+    assert out.endswith("none above 7 vertices: True\n"
+                        "max(alpha, omega) <= 3 on every certificate: True\n"
+                        "theorem27: FAIL\n")
+
+
+def test_verify_conjecture_fail_prints_the_first_counterexample(capsys, monkeypatch):
+    report = ConjectureReport(9, {1: 1, 2: 2}, 7, ["D?{", "E?~o"])
+    monkeypatch.setattr(cli, "verify_conjecture", lambda **kw: report)
+    code, out, _ = run(capsys, "verify", "conjecture", "--max-n", "9")
+    assert code == 1
+    assert out == (
+        "visited by order: {1: 1, 2: 2}\n"
+        "graphs needing the obstruction scan: 7\n"
+        "counterexamples: 2\n"
+        "conjecture: FAIL\n"
+        "counterexample: D?{\n"
+    )
+
+
+def test_verify_threshold_fail_prints_the_first_counterexample(capsys, monkeypatch):
+    report = ThresholdReport(6, 156, ["E?~o", "D?{"])
+    monkeypatch.setattr(cli, "verify_threshold_equivalence", lambda **kw: report)
+    code, out, _ = run(capsys, "verify", "threshold", "--max-n", "6")
+    assert code == 1
+    assert out == (
+        "checked 156 graphs up to n=6\n"
+        "disagreements: 2\n"
+        "threshold: FAIL\n"
+        "counterexample: E?~o\n"
+    )
+
+
 def test_verify_envelope_usage_error(capsys):
     code, _, err = run(capsys, "verify", "conjecture", "--max-n", str(ENUM_MAX + 1))
     assert code == 2 and f"enumeration supports n <= {ENUM_MAX}" in err
@@ -261,6 +321,21 @@ def test_mine_source_beyond_scan_envelope(tmp_path, capsys, cls, limit):
     code, out, err = run(capsys, "mine", "--class", cls, "--max-n", str(limit + 1),
                          "--source", str(src))
     assert code == 2 and out == "" and f"n <= {limit}" in err
+
+
+def test_mine_source_minimal_forbidden_graph_above_canon_limit(tmp_path, capsys):
+    # C13 is within the scan bound of both classes. Under perfect it is a
+    # minimal forbidden graph, whose certificate needs a canonical key, which
+    # stops at 12 vertices; under deficiency:1 it is mined and not minimal.
+    src = tmp_path / "c13.g6"
+    src.write_text(emit_graph6(cycle_graph(13)) + "\n")
+    argv = ("mine", "--max-n", "16", "--jobs", "1", "--source", str(src))
+    code, out, err = run(capsys, *argv, "--class", "perfect")
+    assert code == 2 and out == ""
+    assert err == "error: canonicalization supports n <= 12, got 13\n"
+    code, out, err = run(capsys, *argv, "--class", "deficiency:1")
+    assert code == 0 and not err
+    assert json.loads(out)["total"] == 0
 
 
 def test_mine_source_above_max_n(tmp_path, capsys, c5):
