@@ -6,9 +6,10 @@ lines). Blank and '#' lines are skipped in both formats; --input-format auto
 picks edge lists iff the first remaining line is an integer. recognize and
 analyze --format json print each record as its graph is read (analyze text
 waits to size its columns); mine --source reads the whole stream, whose
-orders --max-n caps. Size limits are checked by the library functions that
-own them; a ValueError they raise is printed as one 'error:' line. Exit
-codes: 0 clean, 1 mathematical counterexample, 2 usage, parse or file error.
+orders --max-n caps. A graph that does not parse is one 'parse error:'
+line on stderr. Size limits are checked by the library functions that own
+them; a ValueError they raise is printed as one 'error:' line. Exit codes:
+0 clean, 1 mathematical counterexample, 2 usage, parse or file error.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from typing import Iterator
 
 from .family import build_conjecture_family, build_family
 from .graph6 import FormatError, emit_edge_list, emit_graph6, parse_edge_list, parse_graph6
-from .graphs import Graph
-from .invariants import compute_report
+from .graphs import Graph, vertices_of
+from .invariants import StableCliquePair, compute_report
 from .mining import (
     mine_forbidden,
     verify_conjecture,
@@ -38,7 +39,6 @@ from .recognition import (
     is_split,
     is_sum_perfect,
     is_threshold,
-    witness_vertices,
 )
 
 EXIT_OK = 0
@@ -46,12 +46,13 @@ EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
 
 
-def _read_graphs(path: str, fmt: str) -> Iterator[tuple[str, Graph | FormatError]]:
-    """(id, graph or FormatError) for each graph of a file or of stdin ('-'),
-    read line by line; the id names the graph's first line. Blank and '#'
-    lines are skipped. graph6 has one graph per line; an edge list is a
-    block of lines that ends at a blank line. 'auto' picks edges iff the
-    first remaining line is an integer."""
+def _read_graphs(path: str, fmt: str, failed: list[str]) -> Iterator[tuple[str, Graph]]:
+    """(id, graph) for each graph of a file or of stdin ('-'), read line by
+    line; the id names the graph's first line. A graph that does not parse
+    is reported on stderr as 'parse error: <id>: <message>' and its id is
+    appended to `failed`. Blank and '#' lines are skipped. graph6 has one
+    graph per line; an edge list is a block of lines that ends at a blank
+    line. 'auto' picks edges iff the first remaining line is an integer."""
     raw = sys.stdin.buffer if path == "-" else open(path, "rb")
     # A non-ASCII byte decodes to U+FFFD, which neither parser accepts, so
     # only its own line (or edge-list block) fails, from stdin as from a file.
@@ -82,7 +83,9 @@ def _read_graphs(path: str, fmt: str) -> Iterator[tuple[str, Graph | FormatError
             try:
                 g = parse(item)
             except FormatError as exc:
-                g = exc
+                print(f"parse error: {gid}: {exc}", file=sys.stderr)
+                failed.append(gid)
+                continue
             yield gid, g
     finally:
         # Closing the wrapper would close its buffer, stdin's included.
@@ -92,21 +95,27 @@ def _read_graphs(path: str, fmt: str) -> Iterator[tuple[str, Graph | FormatError
             text.close()
 
 
+def _witness(ev: ForbiddenCopy | StableCliquePair) -> tuple:
+    """(kind, vertex content, forbidden index, forbidden name) of the evidence."""
+    if isinstance(ev, ForbiddenCopy):
+        return "forbidden_copy", {"vertices": list(ev.embedding.mapping)}, ev.index, ev.name
+    pair = {"stable": list(vertices_of(ev.stable)), "clique": list(vertices_of(ev.clique))}
+    return "stable_clique_pair", pair, None, None
+
+
 # analyze ----------------------------------------------------------------------
 
 def _analysis_record(gid: str, g: Graph) -> dict:
-    report = compute_report(g)
     verdict, ev = is_sum_perfect(g)
-    rec: dict = {"id": gid, **report.to_dict(), "sum_perfect": verdict}
-    wv = witness_vertices(ev)
-    rec["witness_kind"] = wv.pop("kind")
-    rec["witness"] = wv
-    rec["forbidden_index"] = ev.index if isinstance(ev, ForbiddenCopy) else None
-    rec["forbidden_name"] = ev.name if isinstance(ev, ForbiddenCopy) else None
-    rec["threshold"] = is_threshold(g)
-    rec["split"] = is_split(g) is not None
-    rec["apex_threshold"] = is_apex_threshold(g) is not None
-    return rec
+    kind, content, index, name = _witness(ev)
+    return {
+        "id": gid, **compute_report(g).to_dict(), "sum_perfect": verdict,
+        "witness_kind": kind, "witness": content,
+        "forbidden_index": index, "forbidden_name": name,
+        "threshold": is_threshold(g),
+        "split": is_split(g) is not None,
+        "apex_threshold": is_apex_threshold(g) is not None,
+    }
 
 
 _ANALYZE_COLUMNS = (
@@ -116,13 +125,10 @@ _ANALYZE_COLUMNS = (
 
 
 def cmd_analyze(args) -> int:
-    failed = False
+    failed: list[str] = []
     records = []
-    for gid, g in _read_graphs(args.input, args.input_format):
-        if isinstance(g, FormatError):
-            print(f"parse error: {gid}: {g}", file=sys.stderr)
-            failed = True
-        elif args.format == "json":
+    for gid, g in _read_graphs(args.input, args.input_format, failed):
+        if args.format == "json":
             print(json.dumps(_analysis_record(gid, g), sort_keys=True))
         else:
             records.append(_analysis_record(gid, g))
@@ -174,25 +180,20 @@ def cmd_family(args) -> int:
 # recognize ----------------------------------------------------------------------
 
 def cmd_recognize(args) -> int:
-    failed = False
-    for gid, g in _read_graphs(args.input, args.input_format):
-        if isinstance(g, FormatError):
-            print(f"parse error: {gid}: {g}", file=sys.stderr)
-            failed = True
-            continue
+    failed: list[str] = []
+    for gid, g in _read_graphs(args.input, args.input_format, failed):
         verdict, ev = is_sum_perfect(g)
+        kind, content, index, name = _witness(ev)
+        shown = args.witness or args.all_witnesses or not verdict
         rec = {
             "id": gid,
             "verdict": verdict,
-            "witness_kind": None,
-            "witness_vertices": None,
-            "forbidden_index": ev.index if isinstance(ev, ForbiddenCopy) else None,
-            "forbidden_name": ev.name if isinstance(ev, ForbiddenCopy) else None,
+            "witness_kind": kind if shown else None,
+            # A copy's vertices are listed bare on this wire format.
+            "witness_vertices": content.get("vertices", content) if shown else None,
+            "forbidden_index": index,
+            "forbidden_name": name,
         }
-        if args.witness or args.all_witnesses or not verdict:
-            wv = witness_vertices(ev)
-            rec["witness_kind"] = wv.pop("kind")
-            rec["witness_vertices"] = wv.get("vertices", wv or None)
         if args.all_witnesses and not verdict:
             rec["all_copies"] = [
                 {
@@ -211,13 +212,8 @@ def cmd_recognize(args) -> int:
 def cmd_mine(args) -> int:
     source = None
     if args.source:
-        source, failed = [], False
-        for gid, g in _read_graphs(args.source, args.input_format):
-            if isinstance(g, FormatError):
-                print(f"parse error: {gid}: {g}", file=sys.stderr)
-                failed = True
-            else:
-                source.append(g)
+        failed: list[str] = []
+        source = [g for _, g in _read_graphs(args.source, args.input_format, failed)]
         if failed:
             return EXIT_USAGE
     result = mine_forbidden(
@@ -235,42 +231,40 @@ def cmd_mine(args) -> int:
 def cmd_verify(args) -> int:
     # Each target's default max-n is its library function's.
     sized = {} if args.max_n is None else {"max_n": args.max_n}
+    # Each target gives its report lines and the counterexamples a FAIL
+    # prints: every certificate above 7 vertices, or the first one found.
     if args.target == "theorem27":
         report = verify_theorem_27(**sized, jobs=args.jobs)
         counts = report.mine.counts_by_order
-        print(f"visited {report.mine.visited} graphs up to n={report.mine.max_n}")
-        print(f"minimal forbidden counts by order: {dict(sorted(counts.items()))}")
-        print(f"family keys match: {report.keys_match_family}")
-        print(f"per-order counts {{5:1, 6:24, 7:2}}: {report.counts_by_order_ok}")
-        print(f"none above 7 vertices: {report.none_above_seven}")
-        print(f"max(alpha, omega) <= 3 on every certificate: {report.alpha_omega_bounded}")
-        if report.passed:
-            print("theorem27: PASS")
-            return EXIT_OK
-        print("theorem27: FAIL")
-        for _, g in report.mine.certificates:
-            if g.n > 7:
-                print(f"counterexample: {emit_graph6(g)}")
-        return EXIT_COUNTEREXAMPLE
-    if args.target == "conjecture":
+        lines = [
+            f"visited {report.mine.visited} graphs up to n={report.mine.max_n}",
+            f"minimal forbidden counts by order: {dict(sorted(counts.items()))}",
+            f"family keys match: {report.keys_match_family}",
+            f"per-order counts {{5:1, 6:24, 7:2}}: {report.counts_by_order_ok}",
+            f"none above 7 vertices: {report.none_above_seven}",
+            f"max(alpha, omega) <= 3 on every certificate: {report.alpha_omega_bounded}",
+        ]
+        examples = [emit_graph6(g) for _, g in report.mine.certificates if g.n > 7]
+    elif args.target == "conjecture":
         report = verify_conjecture(**sized, jobs=args.jobs, checkpoint=args.checkpoint)
-        print(f"visited by order: {dict(sorted(report.visited_by_order.items()))}")
-        print(f"graphs needing the obstruction scan: {report.deficient_scanned}")
-        print(f"counterexamples: {len(report.counterexamples)}")
-        if report.passed:
-            print("conjecture: PASS")
-            return EXIT_OK
-        print("conjecture: FAIL")
-        print(f"counterexample: {report.counterexamples[0]}")
-        return EXIT_COUNTEREXAMPLE
-    report = verify_threshold_equivalence(**sized, jobs=args.jobs)
-    print(f"checked {report.checked} graphs up to n={report.max_n}")
-    print(f"disagreements: {len(report.disagreements)}")
+        lines = [
+            f"visited by order: {dict(sorted(report.visited_by_order.items()))}",
+            f"graphs needing the obstruction scan: {report.deficient_scanned}",
+            f"counterexamples: {len(report.counterexamples)}",
+        ]
+        examples = report.counterexamples[:1]
+    else:
+        report = verify_threshold_equivalence(**sized, jobs=args.jobs)
+        lines = [
+            f"checked {report.checked} graphs up to n={report.max_n}",
+            f"disagreements: {len(report.disagreements)}",
+        ]
+        examples = report.disagreements[:1]
+    print("\n".join([*lines, f"{args.target}: {'PASS' if report.passed else 'FAIL'}"]))
     if report.passed:
-        print("threshold: PASS")
         return EXIT_OK
-    print("threshold: FAIL")
-    print(f"counterexample: {report.disagreements[0]}")
+    for example in examples:
+        print(f"counterexample: {example}")
     return EXIT_COUNTEREXAMPLE
 
 

@@ -215,11 +215,12 @@ def verify_family() -> FamilyReport:
     } == set(DISCONNECTED_INDICES)
 
     # A same-order copy of a member is the member itself, and larger members
-    # cannot embed, so minimal iff each member holds only its own copy.
-    patterns = PatternSet([(m.index, m.graph) for m in fam])
-    minimal = all(
-        [hit.label for hit in patterns.scan(m.graph)] == [m.index] for m in fam
-    )
+    # cannot embed, so minimal iff each member holds only its own copy. An
+    # isomorphic twin holds its twin's copy, and the index refuses twins.
+    minimal = distinct
+    if distinct:
+        patterns = PatternSet([(m.index, m.graph) for m in fam])
+        minimal = all([h.label for h in patterns.scan(m.graph)] == [m.index] for m in fam)
 
     return FamilyReport(
         member_checks=tuple(checks),

@@ -63,10 +63,6 @@ class Graph:
     def vertex_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def degree_sequence(self) -> tuple[int, ...]:
-        """Degrees sorted descending."""
-        return tuple(sorted((a.bit_count() for a in self.adj), reverse=True))
-
     # Dunders ---------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:

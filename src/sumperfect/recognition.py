@@ -22,7 +22,6 @@ from .graphs import (
     from_edge_list,
     mask_of,
     path_graph,
-    vertices_of,
 )
 from .induced import Embedding, PatternSet
 from .invariants import (
@@ -143,14 +142,3 @@ def check_threshold_theorem(g: Graph) -> bool:
     if g.n == 0:
         return True
     return not has_deficiency_above(g, -1)
-
-
-def witness_vertices(ev: ForbiddenCopy | StableCliquePair) -> dict:
-    """JSON-ready view of a witness's vertex content."""
-    if isinstance(ev, ForbiddenCopy):
-        return {"kind": "forbidden_copy", "vertices": list(ev.embedding.mapping)}
-    return {
-        "kind": "stable_clique_pair",
-        "stable": list(vertices_of(ev.stable)),
-        "clique": list(vertices_of(ev.clique)),
-    }

@@ -23,6 +23,7 @@ from sumperfect.graphs import (
     cycle_graph,
     disjoint_union,
     from_edge_list,
+    path_graph,
 )
 
 
@@ -172,6 +173,15 @@ def test_orbit_mins():
 def test_envelope_error():
     with pytest.raises(ValueError):
         canonical_key(Graph(13, (0,) * 13))
+
+
+def test_is_isomorphic_refuses_past_the_canon_limit():
+    # The answer comes from the canonical keys alone, so it does not depend
+    # on whether the two graphs could be told apart by cheaper invariants.
+    c13 = cycle_graph(13)
+    for other in (path_graph(13), cycle_graph(13)):
+        with pytest.raises(ValueError, match="n <= 12"):
+            is_isomorphic(c13, other)
 
 
 def test_key_prefix_is_order(small_corpus):

@@ -121,6 +121,20 @@ def test_verify_family_detects_a_non_minimal_member(monkeypatch, c5):
     assert not verify_family().minimal_as_set
 
 
+def test_verify_family_reports_an_isomorphic_twin(monkeypatch):
+    # Member 27 replaced by a copy of member 26: the members are not pairwise
+    # distinct, which the report says instead of raising.
+    fam = build_family()
+    m26 = fam.member(26)
+    twin = FamilyMember(27, "twin of 26", m26.graph, m26.key)
+    members = fam.members[:26] + (twin,)
+    monkeypatch.setattr(family, "build_family", lambda: ForbiddenFamily(members))
+    report = verify_family()
+    assert not report.pairwise_distinct
+    assert not report.minimal_as_set
+    assert not report.passed
+
+
 def test_h26_deletion_invariance(h26):
     from sumperfect.graphs import delete_vertex
 
