@@ -160,7 +160,8 @@ def _canonicalize(n: int, adj: tuple[int, ...]):
                 for i in range(n):
                     sigma[best_order[i]] = prefix[i]
                 tau = tuple(sigma)
-                if any(tau[i] != i for i in range(n)) and tau not in auts:
+                # Never the identity (distinct leaves); may recur after a new incumbent.
+                if tau not in auts:
                     auts.append(tau)
             return
 

@@ -28,7 +28,9 @@ ENUM_MAX = 10
 # record it, since their records follow the graphs of one level by position.
 ENUMERATOR_VERSION = 2
 # Children are memoised for parents of order below this, so every level up
-# to order 8 is built once per process.
+# to order 8 is built once per process. One sweep expands each parent once,
+# but mining four classes to n = 8 in one process (or tests calling
+# graphs_of_order repeatedly) re-walks the levels, twice as slowly without it.
 _CACHE_MAX = 8
 
 _ROOT = Graph(0, ())  # the root of the generation tree
@@ -57,11 +59,8 @@ def children_of(parent: Graph) -> list[Graph]:
             min_verts |= 1 << u
 
     auts = canonical_form(parent)[2]
-    if auts:
-        mins = orbit_mins(1 << pn, [_subset_images(a) for a in auts])
-        neighbourhoods = [nb for nb, m in enumerate(mins) if nb == m]
-    else:
-        neighbourhoods = range(1 << pn)
+    mins = orbit_mins(1 << pn, [_subset_images(a) for a in auts])
+    neighbourhoods = [nb for nb, m in enumerate(mins) if nb == m]
 
     def profile(rows: tuple[int, ...], cd: list[int], u: int) -> tuple[int, ...]:
         row = rows[u]
@@ -76,24 +75,19 @@ def children_of(parent: Graph) -> list[Graph]:
     out: list[Graph] = []
     for nb in neighbourhoods:
         dv = nb.bit_count()
-        # The new vertex must be degree-minimal in the child.
+        # The new vertex must be degree-minimal in the child. Past these two
+        # tests every child degree pdeg[u] + [u in nb] is at least dv.
         if dv > min_pdeg + 1:
             continue
         if dv == min_pdeg + 1 and (min_verts & ~nb):
             continue
         cd = [0] * (pn + 1)
         tied: list[int] = []
-        reject = False
         for u in range(pn):
             c = pdeg[u] + ((nb >> u) & 1)
-            if c < dv:
-                reject = True
-                break
             cd[u] = c
             if c == dv:
                 tied.append(u)
-        if reject:
-            continue
         cd[pn] = dv
 
         rows = tuple(
@@ -105,6 +99,7 @@ def children_of(parent: Graph) -> list[Graph]:
             # Neighbour-degree profiles break most remaining ties.
             pv = profile(rows, cd, pn)
             hard: list[int] = []
+            reject = False
             for u in tied:
                 pu = profile(rows, cd, u)
                 if pu < pv:

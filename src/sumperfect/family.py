@@ -113,7 +113,6 @@ def build_family() -> ForbiddenFamily:
     return ForbiddenFamily(tuple(members))
 
 
-@lru_cache(maxsize=1)
 def build_conjecture_family() -> tuple[FamilyMember, ...]:
     """Members 2..25: the family minus the 5-cycle and the two 7-vertex graphs."""
     return build_family().members[1:25]

@@ -295,12 +295,6 @@ def is_sum_perfect_definitional(g: Graph) -> bool:
     return not has_deficiency_above(g, 0)
 
 
-def find_deficient_subgraph(g: Graph) -> int | None:
-    """A vertex mask with positive deficit, or None if g is sum-perfect."""
-    value, mask = _subset_dp(g, _SUM_BOUND, 0)
-    return mask if value > 0 else None
-
-
 def is_perfect_lovasz(g: Graph) -> bool:
     """Every non-empty induced subgraph H satisfies alpha(H)*omega(H) >= |V(H)|."""
     return _subset_dp(g, _PRODUCT_BOUND, 0)[0] <= 0

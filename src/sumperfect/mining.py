@@ -96,9 +96,10 @@ def _resolve(name: str) -> tuple[Callable[[Graph], bool] | None, _SubsetForm | N
     if name == "perfect":
         return is_perfect_lovasz, _SubsetForm(_PRODUCT_BOUND, 0)
     if name.startswith("deficiency:"):
-        c = int(name.split(":", 1)[1])
-        if c < 0:
-            raise ValueError("deficiency parameter must be >= 0")
+        arg = name.split(":", 1)[1]
+        if not (arg.isascii() and arg.isdigit()):
+            raise ValueError(f"deficiency parameter must be an integer >= 0, got {arg!r}")
+        c = int(arg)
         form = _SubsetForm(_SUM_BOUND, c)
         return (lambda g: not has_deficiency_above(g, c)), form
     return None, None

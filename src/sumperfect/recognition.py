@@ -108,8 +108,6 @@ def is_split(g: Graph) -> tuple[int, int] | None:
     vertices form the clique side.
     """
     n = g.n
-    if n == 0:
-        return 0, 0
     order = sorted(range(n), key=lambda v: (-g.adj[v].bit_count(), v))
     degs = [g.adj[v].bit_count() for v in order]
     m = 0

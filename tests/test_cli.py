@@ -9,7 +9,7 @@ import sumperfect.cli as cli
 from sumperfect.cli import main
 from sumperfect.enumeration import ENUM_MAX
 from sumperfect.graph6 import emit_graph6, parse_graph6
-from sumperfect.graphs import cycle_graph, from_edge_list
+from sumperfect.graphs import complete_graph, cycle_graph, from_edge_list
 from sumperfect.invariants import DEFICIENCY_MAX, LOVASZ_MAX
 from sumperfect.mining import ConjectureReport, MineResult, Theorem27Report, ThresholdReport
 
@@ -50,6 +50,36 @@ def test_family_edges_format(capsys):
     code, out, _ = run(capsys, "family", "--format", "edges")
     assert code == 0
     assert "# 1 C5" in out
+
+
+def test_family_json_format(capsys):
+    code, out, _ = run(capsys, "family", "--format", "json")
+    recs = [json.loads(line) for line in out.splitlines()]
+    assert code == 0 and [r["index"] for r in recs] == list(range(1, 28))
+    for rec in recs:
+        g = parse_graph6(rec["graph6"])
+        assert g.n == rec["n"] and [list(e) for e in g.edges()] == rec["edges"]
+
+
+def test_analyze_text_format(tmp_path, capsys, c5):
+    # C5 has a forbidden copy; K4 has none, so its forbidden_name shows "-".
+    path = tmp_path / "in.g6"
+    path.write_text(emit_graph6(c5) + "\n!!bad\n" + emit_graph6(complete_graph(4)) + "\n")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2 and err.count("parse error: line 2:") == 1
+    header, *rows = out.splitlines()
+    names = header.split()
+    assert names == list(cli._ANALYZE_COLUMNS) and len(names) == 13
+    starts = [header.index(name) for name in names]
+    fields = [
+        [row[a:b].rstrip() for a, b in zip(starts, starts[1:] + [None])] for row in rows
+    ]
+    assert [f[:2] + f[8:10] for f in fields] == [
+        ["line 1", "5", "False", "C5"],
+        ["line 3", "4", "True", "-"],
+    ]
+    for row in rows:
+        assert all(row[a - 1] == " " and row[a] != " " for a in starts[1:])
 
 
 def test_analyze_json(tmp_path, capsys, c5):
@@ -197,6 +227,22 @@ def test_mine_stdout_is_independent_of_jobs(capsys, cls):
     assert outs[0][0] == outs[1][0] == 0
     assert outs[0][1] == outs[1][1]
     assert len(outs[0][1].splitlines()) > 1  # certificates, then the summary
+
+
+@pytest.mark.parametrize("param", ["x", "", "1.5", "1_0", "-1", " 1"])
+def test_mine_bad_deficiency_parameter(capsys, param):
+    code, out, err = run(capsys, "mine", "--class", f"deficiency:{param}", "--max-n", "4")
+    assert code == 2 and out == ""
+    assert err == f"error: deficiency parameter must be an integer >= 0, got {param!r}\n"
+
+
+def test_mine_source_parse_error_mines_nothing(tmp_path, capsys):
+    src = tmp_path / "src.g6"
+    src.write_text("Dhc\n!!bad\nD?{\n")
+    code, out, err = run(capsys, "mine", "--class", "sum-perfect", "--max-n", "5",
+                         "--jobs", "1", "--source", str(src))
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: line 2:") and len(err.splitlines()) == 1
 
 
 def test_mine_from_source(tmp_path, capsys, c5):

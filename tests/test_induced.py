@@ -13,13 +13,24 @@ from sumperfect.graphs import (
     mask_of,
     path_graph,
 )
-from sumperfect.induced import PatternSet, contains_induced, embedding_is_valid
+from sumperfect.induced import Embedding, PatternSet, contains_induced, embedding_is_valid
 
 
 def test_c5_contains_p4(c5):
     emb = contains_induced(c5, path_graph(4))
     assert emb is not None
     assert embedding_is_valid(c5, path_graph(4), emb)
+
+
+@pytest.mark.parametrize("mapping", [
+    (0, 1),        # wrong length
+    (0, 1, 1),     # repeated vertex
+    (0, 1, 5),     # out of range
+    (-1, 0, 1),    # negative
+    (0, 1, 3),     # pattern edge 12 lands on the non-edge 13 of C5
+])
+def test_embedding_is_valid_rejects_a_bad_map(c5, mapping):
+    assert not embedding_is_valid(c5, path_graph(3), Embedding(mapping))
 
 
 def test_c6_contains_no_3k2(three_k2):

@@ -35,7 +35,6 @@ from sumperfect.invariants import (
     clique_number,
     compute_report,
     deficit,
-    find_deficient_subgraph,
     is_perfect_lovasz,
     is_sum_perfect_definitional,
     matching_number,
@@ -124,12 +123,6 @@ def test_sum_perfect_definitional(c5):
     assert is_sum_perfect_definitional(Graph(0, ()))
 
 
-def test_find_deficient_subgraph(c5):
-    mask = find_deficient_subgraph(c5)
-    assert mask == c5.vertex_mask()
-    assert find_deficient_subgraph(complete_graph(4)) is None
-
-
 def test_perfect_lovasz(c5):
     assert not is_perfect_lovasz(c5)
     assert is_perfect_lovasz(cycle_graph(6))
@@ -145,6 +138,14 @@ def test_validate_pair(c5):
     assert not validate_pair(c5, StableCliquePair(mask_of([0, 1]), mask_of([0, 1])))
     assert not validate_pair(k3, StableCliquePair(0b011, 0b111))  # not stable
     assert not validate_pair(k3, StableCliquePair(0b001, 0b1000))  # out of range
+
+
+def test_validate_pair_rejects_a_bad_side(c5):
+    # Disjoint sides, so only the stability or the clique test can refuse.
+    assert not validate_pair(c5, StableCliquePair(mask_of([0, 1]), 0))  # edge 01
+    assert not validate_pair(c5, StableCliquePair(mask_of([2]), mask_of([0, 1, 4])))  # no 14
+    assert not validate_pair(c5, StableCliquePair(0, mask_of([0, 2])))  # no edge 02
+    assert validate_pair(c5, StableCliquePair(mask_of([1, 3]), mask_of([4])))
 
 
 def _brute_lex_min_stable(g):

@@ -44,6 +44,12 @@ def test_predicate_registry():
         get_predicate("deficiency:-1")
 
 
+@pytest.mark.parametrize("param", ["-1", "x", "", "1.5", "1_0", "+1", " 1", "\u0661"])
+def test_deficiency_parameter_must_be_decimal_digits(param):
+    with pytest.raises(ValueError, match="deficiency parameter must be an integer >= 0"):
+        get_predicate(f"deficiency:{param}")
+
+
 def test_minimal_forbidden_examples(c5):
     sp = get_predicate("sum-perfect")
     assert is_minimal_forbidden(sp, c5)
