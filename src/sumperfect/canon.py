@@ -109,9 +109,6 @@ def _canonicalize(n: int, adj: tuple[int, ...]):
     """Return (cols, order, auts): minimal column tuple, the permutation
     achieving it (order[i] = original vertex at canonical position i), and
     non-identity automorphisms that generate the automorphism group."""
-    if n == 0:
-        return (), (), []
-
     best_cols: list[int] | None = None
     best_order: tuple[int, ...] | None = None
     auts: list[tuple[int, ...]] = []
@@ -129,7 +126,7 @@ def _canonicalize(n: int, adj: tuple[int, ...]):
 
     def rec(colors: list[int], path: tuple[int, ...]):
         nonlocal best_cols, best_order
-        ncells = max(colors) + 1
+        ncells = max(colors, default=-1) + 1
         cells: list[list[int]] = [[] for _ in range(ncells)]
         for v in range(n):
             cells[colors[v]].append(v)

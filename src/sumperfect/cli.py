@@ -139,8 +139,8 @@ def cmd_analyze(args) -> int:
         ]
         widths = [
             max(len(c), *(len(r[i]) for r in rows)) if rows else len(c)
-            for i, c in enumerate(_ANALYZE_COLUMNS)
-        ]
+            for i, c in enumerate(_ANALYZE_COLUMNS[:-1])
+        ] + [0]  # the last column is not padded
         print("  ".join(c.ljust(w) for c, w in zip(_ANALYZE_COLUMNS, widths)))
         for r in rows:
             print("  ".join(x.ljust(w) for x, w in zip(r, widths)))

@@ -86,13 +86,20 @@ def emit_edge_list(g: Graph) -> str:
     return "\n".join(lines)
 
 
+def _decimal(field: str) -> int:
+    """A field of ASCII decimal digits; int() alone also takes '+3' and '1_0'."""
+    if not (field.isascii() and field.isdigit()):
+        raise ValueError(f"not a decimal: {field!r}")
+    return int(field)
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse one edge-list block (first line n, then 'u v' lines)."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise FormatError("empty edge-list input")
     try:
-        n = int(lines[0])
+        n = _decimal(lines[0])
     except ValueError as exc:
         raise FormatError(f"bad vertex count line {lines[0]!r}") from exc
     edges = []
@@ -101,7 +108,7 @@ def parse_edge_list(text: str) -> Graph:
         if len(parts) != 2:
             raise FormatError(f"bad edge line {ln!r}")
         try:
-            edges.append((int(parts[0]), int(parts[1])))
+            edges.append((_decimal(parts[0]), _decimal(parts[1])))
         except ValueError as exc:
             raise FormatError(f"bad edge line {ln!r}") from exc
     try:

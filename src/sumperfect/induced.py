@@ -3,17 +3,15 @@
 PatternSet indexes a set of patterns by size and searches, size by size in
 ascending order, the host's vertex subsets of that size depth-first in
 lexicographic order. A prefix of a subset is kept as bitmask state (its
-vertex mask, its edge count and the vertices still allowed to extend it),
-and no Graph is built while the search runs.
+vertex mask and the vertices still allowed to extend it), and no Graph is
+built while the search runs.
 
-From the patterns of each size the index derives three bounds: the largest
-clique number, the largest stability number and the range of edge counts.
-Induced cliques, stable sets and edges only grow as vertices are added, so a
-vertex that would close a clique or stable set above those bounds is never
-added, and a prefix whose edge count has left the range, or can no longer
-reach it with the vertices still to come, is abandoned. For the sum-perfect
-family this rules out every subset holding a K4 or a stable 4-set, and at
-size 5 (C5 alone) every triangle and stable triple.
+From the patterns of each size the index derives two bounds: the largest
+clique number and the largest stability number. Induced cliques and stable
+sets only grow as vertices are added, so a vertex that would close a clique
+or stable set above those bounds is never added. For the sum-perfect family
+this rules out every subset holding a K4 or a stable 4-set, and at size 5
+(C5 alone) every triangle and stable triple.
 
 A full subset that survives is filtered by its shape (edge count, sorted
 degrees, triangle count), computed from masks by invariants._shape, the
@@ -97,14 +95,10 @@ class PatternHit:
 
 class _Size:
     """The patterns of one order: their shapes and canonical keys, and the
-    bounds the search prunes by (largest clique and stability numbers, edge
-    range)."""
+    bounds the search prunes by (largest clique and stability numbers)."""
 
     def __init__(self, patterns: list[tuple[object, Graph]]):
-        shapes = [_shape(g.adj, g.vertex_mask()) for _, g in patterns]
-        self.shapes = set(shapes)
-        self.min_edges = min(edges for edges, _, _ in shapes)
-        self.max_edges = max(edges for edges, _, _ in shapes)
+        self.shapes = {_shape(g.adj, g.vertex_mask()) for _, g in patterns}
         self.omega = max(clique_number(g) for _, g in patterns)
         self.alpha = max(stability_number(g) for _, g in patterns)
         self.keys: dict[bytes, tuple] = {}
@@ -121,8 +115,7 @@ def _shaped_subsets(
     """Masks of the k-subsets whose shape is some pattern's, lexicographically.
 
     co is the complement's adjacency. A subset is skipped only if it holds a
-    clique or stable set larger than every pattern's of order k, or its edge
-    count is out of their range.
+    clique or stable set larger than every pattern's of order k.
     """
     shapes = level.shapes
     if k == 0:
@@ -130,20 +123,15 @@ def _shaped_subsets(
             yield 0
         return
     omega, alpha = level.omega, level.alpha
-    lo, hi = level.min_edges, level.max_edges
 
-    def grow(prefix: int, edges: int, avail: int, size: int) -> Iterator[int]:
+    def grow(prefix: int, avail: int, size: int) -> Iterator[int]:
         # avail: the vertices above the prefix's last one that close no
         # clique or stable set beyond the bounds.
         left = k - size - 1
-        room = left * (size + 1) + left * (left - 1) // 2
         while avail.bit_count() > left:
             b = avail & -avail
             avail ^= b
             v = b.bit_length() - 1
-            e = edges + (adj[v] & prefix).bit_count()
-            if e > hi or e + room < lo:
-                continue
             mask = prefix | b
             if not left:
                 if _shape(adj, mask) in shapes:
@@ -155,9 +143,9 @@ def _shaped_subsets(
             if size + 1 >= alpha:
                 nxt &= ~_closers(co, prefix & co[v], alpha - 1, co[v])
             if nxt.bit_count() >= left:
-                yield from grow(mask, e, nxt, size + 1)
+                yield from grow(mask, nxt, size + 1)
 
-    yield from grow(0, 0, (1 << len(adj)) - 1, 0)
+    yield from grow(0, (1 << len(adj)) - 1, 0)
 
 
 class PatternSet:
@@ -174,8 +162,6 @@ class PatternSet:
         """All pattern copies in host: sizes ascending, subsets lexicographic."""
         co = complement(host).adj
         for k in self.sizes:
-            if k > host.n:
-                break
             level = self._by_size[k]
             for mask in _shaped_subsets(host.adj, co, k, level):
                 sub_order, sub_key = canonical_labeling(induced_subgraph(host, mask))

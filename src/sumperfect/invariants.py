@@ -56,8 +56,7 @@ def _clique_bb(adj: tuple[int, ...], sub: int) -> int:
                 best = rsize + 1
             cand ^= bit
 
-    if sub:
-        expand(0, sub)
+    expand(0, sub)
     return best
 
 

@@ -170,6 +170,10 @@ def test_orbit_mins():
     assert orbit_mins(5, canonical_form(c5)[2]) == [0] * 5
 
 
+def test_empty_graph_canonical_form():
+    assert canonical_form(Graph(0, ())) == ((), b"\x00", [])
+
+
 def test_envelope_error():
     with pytest.raises(ValueError):
         canonical_key(Graph(13, (0,) * 13))

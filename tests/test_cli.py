@@ -80,6 +80,7 @@ def test_analyze_text_format(tmp_path, capsys, c5):
     ]
     for row in rows:
         assert all(row[a - 1] == " " and row[a] != " " for a in starts[1:])
+    assert not any(line.endswith(" ") for line in out.splitlines())
 
 
 def test_analyze_json(tmp_path, capsys, c5):

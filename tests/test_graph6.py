@@ -93,7 +93,9 @@ def test_edge_list_format(c5):
     assert lines[1] == "0 1"
 
 
-@pytest.mark.parametrize("bad", ["", "x", "3\n0 1 2", "3\n0 5", "2\n0 zero"])
+@pytest.mark.parametrize(
+    "bad", ["", "x", "3\n0 1 2", "3\n0 5", "2\n0 zero", "1_0\n0 1", "+3\n0 1", "3\n0 +1"]
+)
 def test_edge_list_errors(bad):
     with pytest.raises(FormatError):
         parse_edge_list(bad)

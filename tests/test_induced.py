@@ -12,6 +12,7 @@ from sumperfect.graphs import (
     induced_subgraph,
     mask_of,
     path_graph,
+    star_graph,
 )
 from sumperfect.induced import Embedding, PatternSet, contains_induced, embedding_is_valid
 
@@ -106,8 +107,9 @@ def _pattern_sets():
 
     empty, k1, four_k1 = from_edge_list(0, []), from_edge_list(1, []), from_edge_list(4, [])
     k4, c5 = complete_graph(4), cycle_graph(5)
+    fam = build_family()
     return {
-        "family": [(m.index, m.graph) for m in build_family()],
+        "family": [(m.index, m.graph) for m in fam],
         "threshold": [("P4", path_graph(4)), ("C4", cycle_graph(4)),
                       ("2K2", from_edge_list(4, [(0, 1), (2, 3)]))],
         "B": [(m.index, m.graph) for m in build_conjecture_family()],
@@ -115,11 +117,25 @@ def _pattern_sets():
         "4K1": [("4K1", four_k1)],
         "K1": [("K1", k1)],
         "empty": [("K0", empty)],
-        # Sizes whose clique, stability and edge bounds all differ, so a
+        # Sizes whose clique and stability bounds differ, so a
         # search that prunes one size by another's bounds loses hits.
         "mixed": [("K0", empty), ("K1", k1), ("K4", k4), ("C5", c5)],
         "mixed-co": [("4K1", four_k1), ("C5", c5), ("K3,3", complete_bipartite(3, 3))],
+        # Sets whose edge range is narrower than their clique and stability
+        # bounds allow.
+        "H26": [(26, fam.member(26).graph)],
+        "H26-H27": [(i, fam.member(i).graph) for i in (26, 27)],
+        "P5": [("P5", path_graph(5))],
+        "K1,4": [("K1,4", star_graph(4))],
     }
+
+
+def _assert_listing_matches(ps, patterns, host):
+    hits = list(ps.scan(host))
+    assert [(h.label, h.subset) for h in hits] == brute_scan(host, patterns)
+    for h in hits:
+        assert embedding_is_valid(host, h.pattern, h.embedding)
+        assert h.embedding.image() == h.subset
 
 
 @pytest.mark.parametrize("name", sorted(_pattern_sets()))
@@ -129,12 +145,30 @@ def test_scan_listing_matches_brute_force(name):
     rng = random.Random(name)
     for _ in range(25):
         n = rng.randint(0, 10)
-        host = _random_graph(rng, n, rng.random())
-        hits = list(ps.scan(host))
-        assert [(h.label, h.subset) for h in hits] == brute_scan(host, patterns)
-        for h in hits:
-            assert embedding_is_valid(host, h.pattern, h.embedding)
-            assert h.embedding.image() == h.subset
+        _assert_listing_matches(ps, patterns, _random_graph(rng, n, rng.random()))
+
+
+def _planted_host(rng, pattern, n):
+    """A random graph on n vertices whose vertices at a random pattern.n-subset
+    induce pattern."""
+    pos = {v: i for i, v in enumerate(sorted(rng.sample(range(n), pattern.n)))}
+    return from_edge_list(n, [
+        (u, v) for v in range(n) for u in range(v)
+        if (pattern.has_edge(pos[u], pos[v]) if u in pos and v in pos else rng.random() < 0.5)
+    ])
+
+
+@pytest.mark.parametrize("name", sorted(_pattern_sets()))
+def test_scan_listing_matches_brute_force_on_planted_hosts(name):
+    # Random hosts rarely hold a large pattern (the 25 above hold no H26), so
+    # each pattern is planted in hosts of up to three more vertices.
+    patterns = _pattern_sets()[name]
+    ps = PatternSet(patterns)
+    rng = random.Random(name)
+    for _, pattern in patterns:
+        for _ in range(3):
+            host = _planted_host(rng, pattern, pattern.n + rng.randint(0, 3))
+            _assert_listing_matches(ps, patterns, host)
 
 
 def test_full_scan_of_split_host_builds_few_graphs(monkeypatch):

@@ -159,7 +159,7 @@ def _brute_lex_min_stable(g):
 
 
 def test_witnesses_are_lex_min_and_sound(small_corpus):
-    for g in small_corpus[5] + small_corpus[6][:60]:
+    for g in small_corpus[0] + small_corpus[5] + small_corpus[6][:60]:
         s = max_stable_set(g)
         m = max_clique(g)
         assert s.bit_count() == stability_number(g)

@@ -88,6 +88,8 @@ def test_all_witnesses_listing(c5):
     # C6 is itself forbidden (one copy) and contains no smaller member.
     assert len(copies) == 1 and copies[0].index == 8
     assert find_forbidden_copies(c5, limit=None)[0].index == 1
+    # A host smaller than every member holds no copy.
+    assert find_forbidden_copies(path_graph(4), limit=None) == []
 
 
 def test_is_threshold_examples():
