@@ -226,8 +226,8 @@ _PRODUCT_BOUND = [[a * w for w in range(LOVASZ_MAX + 1)]
                   for a in range(LOVASZ_MAX + 1)]
 
 
-def _subset_dp(g: Graph, bound: list[list[int]],
-               stop: int | None) -> tuple[int, int | None]:
+def _subset_dp(g: Graph, bound: list[list[int]], stop: int | None,
+               tables: dict | None = None) -> tuple[int, int | None]:
     """Max of |S| - bound[alpha(S)][omega(S)] over non-empty induced subgraphs.
 
     Tabulates alpha and omega for every vertex subset bottom-up, growing each
@@ -244,6 +244,12 @@ def _subset_dp(g: Graph, bound: list[list[int]],
     this first hit: the full vertex set, the largest mask, is the first hit
     iff no other subset exceeds `stop`.
 
+    `tables`, a caller-owned dict passed only with one bound and stop, keeps
+    the last scan of each order. If g's vertices 0..n-2 induce the order n - 1
+    entry's graph, the scan resumes from it and returns a fresh scan's result:
+    the masks below 2^(n-1), that prefix's subsets, come first in the same
+    order, so only those holding vertex n - 1 are new (none if it hit `stop`).
+
     Raises ValueError unless n < len(bound): the one envelope check of
     every subset scan.
     """
@@ -252,12 +258,17 @@ def _subset_dp(g: Graph, bound: list[list[int]],
         return 0, None
     if n >= len(bound):
         raise ValueError(f"subgraph scan supports n <= {len(bound) - 1}, got {n}")
-    size = 1 << n
-    at = [0] * size
-    wt = [0] * size
-    best = -1
-    best_mask: int | None = None
-    for v, row in enumerate(g.adj):
+    half = 1 << (n - 1)
+    prev = tables.get(n - 1) if tables is not None else None
+    if prev is not None and prev[0] == tuple(row & (half - 1) for row in g.adj[:-1]):
+        _, at, wt, best, best_mask = prev
+        at, wt, first = at + [0] * half, wt + [0] * half, n - 1
+    else:
+        at, wt = [0] * (2 * half), [0] * (2 * half)
+        best, best_mask, first = -1, None, 0
+    for v, row in enumerate(g.adj[first:], first):
+        if stop is not None and best > stop:
+            break
         bit = 1 << v
         away = ~row
         for rest in range(bit):
@@ -275,7 +286,9 @@ def _subset_dp(g: Graph, bound: list[list[int]],
                 best = d
                 best_mask = s
                 if stop is not None and d > stop:
-                    return best, best_mask
+                    break
+    if tables is not None:
+        tables[n] = (g.adj, at, wt, best, best_mask)
     return best, best_mask
 
 

@@ -7,8 +7,10 @@ proper induced subgraph satisfies it. For the classes the subset DP decides
 DP visits vertex subsets in ascending mask order and stops at the first that
 breaks the class, so g is a member iff there is none, and minimal forbidden
 iff it is the full vertex set, the largest mask, since any other lies inside
-some g - v. Threshold is decided by elimination instead; a non-member is
-minimal forbidden iff each one-vertex deletion is a member, and each is tested.
+some g - v. A graph whose vertices 0..n-2 induce the task's last graph of
+order n - 1 (in a walk, its parent) resumes that DP: the masks below 2^(n-1)
+come first and are the same. Threshold is decided by elimination instead: a
+non-member is minimal forbidden iff each one-vertex deletion is a member.
 A sweep to max_n cuts the generation tree at the split order
 s = min(_SPLIT, max_n - 1), as geng's res/mod splitting does: the main
 process visits orders 1..s itself, as one task over one walk of that prefix,
@@ -97,9 +99,12 @@ def _resolve(name: str) -> tuple[Callable[[Graph], bool] | None, _SubsetForm | N
         return is_perfect_lovasz, _SubsetForm(_PRODUCT_BOUND, 0)
     if name.startswith("deficiency:"):
         arg = name.split(":", 1)[1]
-        if not (arg.isascii() and arg.isdigit()):
+        try:  # int() also refuses more digits than sys.get_int_max_str_digits()
+            c = int(arg) if arg.isascii() and arg.isdigit() else -1
+        except ValueError:
+            c = -1
+        if c < 0:
             raise ValueError(f"deficiency parameter must be an integer >= 0, got {arg!r}")
-        c = int(arg)
         form = _SubsetForm(_SUM_BOUND, c)
         return (lambda g: not has_deficiency_above(g, c)), form
     return None, None
@@ -118,15 +123,16 @@ def is_minimal_forbidden(pred: ClassPredicate, g: Graph) -> bool:
     return _verdict(_resolve(pred.name)[1], pred.fn, g)[1]
 
 
-def _verdict(form: _SubsetForm | None, fn: Callable[[Graph], bool],
-             g: Graph) -> tuple[bool, bool]:
+def _verdict(form: _SubsetForm | None, fn: Callable[[Graph], bool], g: Graph,
+             tables: dict | None = None) -> tuple[bool, bool]:
     """(member, minimal forbidden) of g: one subset-DP pass if the class has
-    a form (see the module docstring), else fn on g and its deletions."""
+    a form (see the module docstring), else fn on g and its deletions. The
+    pass resumes from `tables` where they hold g's prefix (see _subset_dp)."""
     if form is None:
         if fn(g):
             return True, False
         return False, all(fn(delete_vertex(g, v)) for v in range(g.n))
-    value, mask = _subset_dp(g, form.bound, form.stop)
+    value, mask = _subset_dp(g, form.bound, form.stop, tables)
     if value <= form.stop:
         return True, False
     return False, mask == g.vertex_mask()
@@ -159,8 +165,9 @@ def _mine_chunk(class_name: str, graphs: Iterable[Graph]) -> tuple[list[str], in
     form = _resolve(class_name)[1]
     lines: list[str] = []
     sampled = False
+    tables: dict = {}  # each order's last DP scan, for graphs extending it
     for i, g in enumerate(graphs):
-        member, minimal = _verdict(form, fn, g)
+        member, minimal = _verdict(form, fn, g, tables)
         if member:
             # sampled heredity check: members stay members under deletion
             if g.n and (not sampled or (i & 127) == 0):

@@ -237,6 +237,13 @@ def test_mine_bad_deficiency_parameter(capsys, param):
     assert err == f"error: deficiency parameter must be an integer >= 0, got {param!r}\n"
 
 
+def test_mine_deficiency_parameter_above_the_int_digit_limit(capsys):
+    param = "1" * 5000
+    code, out, err = run(capsys, "mine", "--class", f"deficiency:{param}", "--max-n", "3")
+    assert code == 2 and out == ""
+    assert err == f"error: deficiency parameter must be an integer >= 0, got {param!r}\n"
+
+
 def test_mine_source_parse_error_mines_nothing(tmp_path, capsys):
     src = tmp_path / "src.g6"
     src.write_text("Dhc\n!!bad\nD?{\n")

@@ -14,6 +14,7 @@ from oracles import (
     brute_triangles,
     labeled_graphs,
 )
+from sumperfect.enumeration import descendants
 from sumperfect.graphs import (
     Graph,
     bipartition,
@@ -23,6 +24,7 @@ from sumperfect.graphs import (
     delete_vertex,
     disjoint_union,
     from_edge_list,
+    induced_subgraph,
     mask_of,
     star_graph,
 )
@@ -263,3 +265,34 @@ def test_subset_dp_returns_the_first_mask_in_ascending_order(small_corpus):
             values = [k - bound[a][w] for k, a, w in table]
             for stop in (None, -1, 0, 1):
                 assert _subset_dp(g, bound, stop) == _first_hit(values, stop), (g, stop)
+
+
+def _labeled_walk(g: Graph, max_n: int):
+    """g, then depth-first every labelled one-vertex extension of g (new
+    vertex last) down to order max_n: each graph follows its own prefix."""
+    yield g
+    if g.n < max_n:
+        for row in range(1 << g.n):
+            adj = tuple(a | ((row >> v) & 1) << g.n for v, a in enumerate(g.adj))
+            yield from _labeled_walk(Graph(g.n + 1, adj + (row,)), max_n)
+
+
+def test_resumed_subset_dp_equals_a_fresh_one():
+    # Mining hands _subset_dp the tables of the previous scan of each order;
+    # a graph whose first n - 1 vertices induce that order's last graph
+    # resumes from it. In both walks every graph of order >= 2 does.
+    walks = [list(descendants(Graph(0, ()), 7)), list(_labeled_walk(Graph(1, (0,)), 5))]
+    for graphs in walks:
+        last: dict[int, Graph] = {}
+        for g in graphs:
+            if g.n >= 2:
+                assert induced_subgraph(g, range(g.n - 1)) == last[g.n - 1]
+            last[g.n] = g
+    assert len(walks[1]) == sum(1 << (n * (n - 1) // 2) for n in range(1, 6))
+    for graphs in walks:
+        for bound in (_SUM_BOUND, _PRODUCT_BOUND):
+            for stop in (None, -1, 0, 1):
+                tables: dict = {}
+                for g in graphs:
+                    fresh = _subset_dp(g, bound, stop)
+                    assert _subset_dp(g, bound, stop, tables) == fresh, (g, stop)

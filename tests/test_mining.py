@@ -7,16 +7,18 @@ import pytest
 
 import sumperfect.mining as mining
 from sumperfect.canon import canonical_key
-from sumperfect.enumeration import ENUM_MAX
+from sumperfect.enumeration import ENUM_MAX, descendants, graphs_of_order
 from sumperfect.family import build_family
 from sumperfect.graph6 import emit_graph6, parse_graph6
 from sumperfect.graphs import (
+    Graph,
     complement,
     complete_graph,
     cycle_graph,
     delete_vertex,
     disjoint_union,
     from_edge_list,
+    induced_subgraph,
     path_graph,
 )
 from sumperfect.invariants import deficit, max_deficiency
@@ -44,7 +46,8 @@ def test_predicate_registry():
         get_predicate("deficiency:-1")
 
 
-@pytest.mark.parametrize("param", ["-1", "x", "", "1.5", "1_0", "+1", " 1", "\u0661"])
+@pytest.mark.parametrize("param", ["-1", "x", "", "1.5", "1_0", "+1", " 1", "\u0661",
+                                   pytest.param("1" * 5000, id="5000-digits")])
 def test_deficiency_parameter_must_be_decimal_digits(param):
     with pytest.raises(ValueError, match="deficiency parameter must be an integer >= 0"):
         get_predicate(f"deficiency:{param}")
@@ -133,6 +136,10 @@ def test_jobs_determinism():
     assert all(deficit(g) == 2 for _, g in r1.certificates)
 
 
+def test_deficiency_one_counts_by_order_to_8():
+    assert mine_forbidden("deficiency:1", 8).counts_by_order == {7: 18, 8: 1777}
+
+
 def test_deficiency_certificates_have_exact_excess():
     res = mine_forbidden("deficiency:1", 7)
     for _, g in res.certificates:
@@ -147,6 +154,53 @@ def test_mine_from_external_source():
     fam = build_family()
     assert keys == {fam.member(1).key, fam.member(8).key, fam.member(6).key}
     assert res.visited == 4
+
+
+def _prefix(g: Graph) -> Graph:
+    return induced_subgraph(g, range(g.n - 1))
+
+
+@pytest.mark.parametrize("name", ["sum-perfect", "perfect", "deficiency:1"])
+def test_source_stream_resumes_the_dp_only_from_a_true_prefix(name):
+    # A graph resumes the DP of the last graph of one order less only if its
+    # first n - 1 vertices induce exactly that graph. Each graph g of orders
+    # 5..7 follows graphs of order n - 1 that are not its prefix, a member
+    # and (where the level has one) a non-member, whose scans stop at
+    # different points; a random relabelling h of g, which enumeration does
+    # not produce, follows h's true prefix. Every answer must be
+    # is_minimal_forbidden's, per graph (_mine_chunk's lines keep every
+    # occurrence) and as certificates.
+    pred = get_predicate(name)
+    rng = random.Random(18)
+    stream, false_pairs = [], []
+    for n in (5, 6, 7):
+        level = graphs_of_order(n - 1)
+        sides = [[p for p in level if pred.fn(p) == side] for side in (True, False)]
+        for g in graphs_of_order(n):
+            for side in sides:
+                others = [p for p in side if p != _prefix(g)]
+                if others:
+                    false_pairs.append((rng.choice(others), g))
+                    stream += false_pairs[-1]
+            perm = rng.sample(range(n), n)
+            h = from_edge_list(n, [(perm[u], perm[v]) for u, v in g.edges()])
+            stream += [_prefix(h), h]
+    assert all(_prefix(g) != false for false, g in false_pairs)
+    enumerated = set(descendants(Graph(0, ()), 7))
+    assert sum(h not in enumerated for h in stream if h.n == 7) > 1000
+    minimal = [g for g in stream if is_minimal_forbidden(pred, g)]
+    assert minimal
+    assert mining._mine_chunk(name, stream)[0] == [emit_graph6(g) for g in minimal]
+    certificates = mine_forbidden(name, 7, source=stream).certificates
+    assert {k for k, _ in certificates} == {canonical_key(g) for g in minimal}
+
+
+@pytest.mark.parametrize("name", ["sum-perfect", "perfect", "deficiency:1"])
+def test_shuffled_source_stream_matches_the_enumerated_sweep(name):
+    graphs = list(descendants(Graph(0, ()), 7))
+    random.Random(7).shuffle(graphs)
+    swept = mine_forbidden(name, 7)
+    assert mine_forbidden(name, 7, source=graphs).certificates == swept.certificates
 
 
 def test_mine_source_refuses_graphs_above_max_n():
