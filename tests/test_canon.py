@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from itertools import permutations
 from math import comb, factorial
@@ -14,10 +15,11 @@ from sumperfect.canon import (
     is_isomorphic,
     orbit_mins,
 )
-from sumperfect.enumeration import graphs_of_order
+from sumperfect.enumeration import descendants, graphs_of_order
 from sumperfect.graph6 import pack_upper_triangle
 from sumperfect.graphs import (
     Graph,
+    complement,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -82,7 +84,6 @@ def test_is_isomorphic_examples(c5, k33, two_k3):
 
 def test_complement_pairing_in_family():
     from sumperfect.family import build_family
-    from sumperfect.graphs import complement
 
     fam = build_family()
     assert is_isomorphic(fam.member(7).graph, complement(fam.member(19).graph))
@@ -192,3 +193,52 @@ def test_key_prefix_is_order(small_corpus):
     for n in (0, 1, 5):
         for g in small_corpus[n][:5]:
             assert canonical_key(g)[0] == n
+
+
+def _random_regular(rng: random.Random, n: int, d: int) -> Graph:
+    """A d-regular graph on n vertices: random stub pairings, redrawn until simple."""
+    while True:
+        stubs = [v for v in range(n) for _ in range(d)]
+        rng.shuffle(stubs)
+        edges = {tuple(sorted(stubs[i:i + 2])) for i in range(0, len(stubs), 2)}
+        if len(edges) == n * d // 2 and all(u != v for u, v in edges):
+            return from_edge_list(n, sorted(edges))
+
+
+def _pin_corpus():
+    yield from descendants(Graph(0, ()), 7)
+    rng = random.Random(19)
+    for n in range(9, 13):
+        for _ in range(60):
+            p = rng.random()
+            yield from_edge_list(n, [
+                (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p
+            ])
+    # Refinement leaves a regular graph's vertices in one cell.
+    for d in (3, 4):
+        for _ in range(10):
+            yield _random_regular(rng, 12, d)
+    k4 = complete_graph(4)
+    for g in (
+        complete_graph(12),
+        complete_bipartite(6, 6),
+        disjoint_union(disjoint_union(k4, k4), k4),
+        cycle_graph(12),
+    ):
+        yield g
+        yield complement(g)
+
+
+def test_canonical_forms_are_pinned():
+    # Orders and automorphism lists, not only keys: a change to the search
+    # that keeps every key can still reorder either, and enumeration reads
+    # both. Re-pin only with a deliberate change of the search's output.
+    h = hashlib.sha256()
+    count = 0
+    for g in _pin_corpus():
+        h.update(repr(canonical_form(g)).encode())
+        count += 1
+    assert count == 1520
+    assert h.hexdigest() == (
+        "bb1bf87c901516945bd07a7f410a93f2dee77bf5d77abd8d9ab589bad5ff2339"
+    )

@@ -21,7 +21,12 @@ from sumperfect.graphs import (
     induced_subgraph,
     path_graph,
 )
-from sumperfect.invariants import deficit, max_deficiency
+from sumperfect.invariants import (
+    deficit,
+    is_perfect_lovasz,
+    is_sum_perfect_definitional,
+    max_deficiency,
+)
 from sumperfect.mining import (
     count_hc_forbidden,
     get_predicate,
@@ -31,6 +36,7 @@ from sumperfect.mining import (
     verify_theorem_27,
     verify_threshold_equivalence,
 )
+from sumperfect.recognition import is_split, is_threshold
 
 
 def test_predicate_registry():
@@ -138,6 +144,30 @@ def test_jobs_determinism():
 
 def test_deficiency_one_counts_by_order_to_8():
     assert mine_forbidden("deficiency:1", 8).counts_by_order == {7: 18, 8: 1777}
+
+
+@pytest.mark.parametrize("member, counts", [
+    pytest.param(is_perfect_lovasz, [1, 2, 4, 11, 33, 148, 906, 8887], id="perfect-A052431"),
+    pytest.param(
+        lambda g: is_split(g) is not None, [1, 2, 4, 9, 21, 56, 164, 557], id="split-A048194"
+    ),
+    pytest.param(is_threshold, [2 ** (n - 1) for n in range(1, 9)], id="threshold"),
+    pytest.param(
+        is_sum_perfect_definitional, [1, 2, 4, 11, 33, 124, 508, 2185], id="sum-perfect"
+    ),
+    # B-free 2,715 at n = 8 would add about 4 s.
+    pytest.param(
+        lambda g: not mining._b_patterns().contains_any(g),
+        [1, 2, 4, 11, 34, 132, 580],
+        id="B-free",
+    ),
+])
+def test_class_sizes_by_order(member, counts):
+    # Members of each full level n = 1, 2, ...; perfect and split are OEIS
+    # sequences, so these gate the predicates from outside the repo, and a
+    # walk that prunes by class must keep them.
+    found = [sum(1 for g in graphs_of_order(n) if member(g)) for n in range(1, len(counts) + 1)]
+    assert found == counts
 
 
 def test_deficiency_certificates_have_exact_excess():
