@@ -16,11 +16,10 @@ share one.
 
 The search never considers all n! permutations: vertices are first partitioned
 by iterated degree refinement, the branch tree individualizes one vertex of
-the first non-singleton cell at a time (re-refining after each choice), string
-prefixes are compared against the incumbent to prune, and automorphisms
-discovered at equal leaves collapse equivalent siblings. That keeps even the
-fully symmetric worst cases (empty/complete graphs, unions of cliques) small
-at this scale while staying exact.
+the first non-singleton cell at a time (re-refining after each choice), and
+automorphisms discovered at equal leaves collapse equivalent siblings. That
+keeps even the fully symmetric worst cases (empty/complete graphs, unions of
+cliques) small at this scale while staying exact.
 
 The automorphisms found generate the whole group Aut(G), for every n:
 
@@ -30,10 +29,6 @@ The automorphisms found generate the whole group Aut(G), for every n:
   exactly when one automorphism maps one to the other. Hence the leaves with
   the minimal column tuple form one Aut(G)-orbit L*, and the action on it is
   regular: an automorphism fixing a discrete order is the identity.
-- Prefix pruning never cuts an ancestor of an L* leaf: the leading singleton
-  cells of a node start the order of every leaf below it, and a prefix is
-  cut only if its columns exceed the incumbent's, which are never below the
-  minimum.
 - Each visited L* leaf yields the automorphism from the first L* leaf
   visited to it.
 - A sibling is skipped only when a product of found automorphisms that fix
@@ -109,20 +104,20 @@ def _canonicalize(n: int, adj: tuple[int, ...]):
     """Return (cols, order, auts): minimal column tuple, the permutation
     achieving it (order[i] = original vertex at canonical position i), and
     non-identity automorphisms that generate the automorphism group."""
-    best_cols: list[int] | None = None
+    best_cols: tuple[int, ...] | None = None
     best_order: tuple[int, ...] | None = None
     auts: list[tuple[int, ...]] = []
 
-    def prefix_cols(order: list[int], upto: int) -> list[int]:
+    def columns(order: tuple[int, ...]) -> tuple[int, ...]:
         cols = []
-        for j in range(1, upto):
+        for j in range(1, n):
             row = adj[order[j]]
             c = 0
             for i in range(j):
                 if (row >> order[i]) & 1:
                     c |= 1 << i
             cols.append(c)
-        return cols
+        return tuple(cols)
 
     def rec(colors: list[int], path: tuple[int, ...]):
         nonlocal best_cols, best_order
@@ -130,32 +125,18 @@ def _canonicalize(n: int, adj: tuple[int, ...]):
         cells: list[list[int]] = [[] for _ in range(ncells)]
         for v in range(n):
             cells[colors[v]].append(v)
-
-        prefix: list[int] = []
-        target = None
-        for cell in cells:
-            if len(cell) == 1:
-                prefix.append(cell[0])
-            else:
-                target = cell
-                break
-
-        if best_cols is not None and len(prefix) > 1:
-            part = prefix_cols(prefix, len(prefix))
-            if part > best_cols[: len(part)]:
-                return
+        target = next((cell for cell in cells if len(cell) > 1), None)
 
         if target is None:
-            # Past the first leaf, the prefix is the whole order and `part`
-            # already holds its columns.
-            cols = prefix_cols(prefix, n) if best_cols is None else part
+            order = tuple(cell[0] for cell in cells)
+            cols = columns(order)
             if best_cols is None or cols < best_cols:
                 best_cols = cols
-                best_order = tuple(prefix)
+                best_order = order
             elif cols == best_cols:
                 sigma = [0] * n
                 for i in range(n):
-                    sigma[best_order[i]] = prefix[i]
+                    sigma[best_order[i]] = order[i]
                 tau = tuple(sigma)
                 # Never the identity (distinct leaves); may recur after a new incumbent.
                 if tau not in auts:
@@ -164,12 +145,11 @@ def _canonicalize(n: int, adj: tuple[int, ...]):
 
         done: list[int] = []
         for v in target:
-            if done and auts:
-                fixing = [a for a in auts if all(a[p] == p for p in path)]
-                if fixing:
-                    mins = orbit_mins(n, fixing)
-                    if any(mins[u] == mins[v] for u in done):
-                        continue
+            # Nothing is explored yet at the first child, so skip the filtering.
+            if done:
+                mins = orbit_mins(n, [a for a in auts if all(a[p] == p for p in path)])
+                if any(mins[u] == mins[v] for u in done):
+                    continue
             split = [2 * c + 1 for c in colors]
             split[v] = 2 * colors[v]
             rec(_refine(n, adj, split), path + (v,))
@@ -177,7 +157,7 @@ def _canonicalize(n: int, adj: tuple[int, ...]):
 
     rec(_refine(n, adj, [0] * n), ())
     assert best_cols is not None and best_order is not None
-    return tuple(best_cols), best_order, auts
+    return best_cols, best_order, auts
 
 
 def canonical_form(g: Graph) -> tuple[tuple[int, ...], bytes, list[tuple[int, ...]]]:

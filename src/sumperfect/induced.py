@@ -137,11 +137,8 @@ def _shaped_subsets(
                 if _shape(adj, mask) in shapes:
                     yield mask
                 continue
-            nxt = avail
-            if size + 1 >= omega:
-                nxt &= ~_closers(adj, prefix & adj[v], omega - 1, adj[v])
-            if size + 1 >= alpha:
-                nxt &= ~_closers(co, prefix & co[v], alpha - 1, co[v])
+            nxt = avail & ~_closers(adj, prefix & adj[v], omega - 1, adj[v])
+            nxt &= ~_closers(co, prefix & co[v], alpha - 1, co[v])
             if nxt.bit_count() >= left:
                 yield from grow(mask, nxt, size + 1)
 

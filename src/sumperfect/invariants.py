@@ -84,8 +84,6 @@ def _lex_min_optimum(n: int, rows: tuple[int, ...], total: int) -> int:
             chosen |= bit
             avail = shrunk
             remaining -= 1
-            if remaining == 0:
-                break
     return chosen
 
 
