@@ -42,8 +42,9 @@ The automorphisms found generate the whole group Aut(G), for every n:
 Enumeration relies on this on both sides of its acceptance rule.
 
 There is one labelling path: `canonical_form` checks the n <= CANON_MAX
-envelope, runs the search, packs the key and returns the automorphisms;
-`canonical_labeling` and `canonical_key` are views of its result, and
+envelope (with `check_canon_order`, which mining also calls before it
+keeps a certificate), runs the search, packs the key and returns the
+automorphisms; `canonical_labeling` and `canonical_key` are views of its result, and
 `is_isomorphic` compares two keys, so it too refuses n > CANON_MAX.
 `orbit_mins` turns a list of permutations into orbits, for the search's
 sibling pruning and for enumeration.
@@ -55,6 +56,12 @@ from .graph6 import pack_upper_triangle
 from .graphs import Graph
 
 CANON_MAX = 12
+
+
+def check_canon_order(n: int) -> None:
+    """Raise ValueError unless canonical labelling reaches order n."""
+    if n > CANON_MAX:
+        raise ValueError(f"canonicalization supports n <= {CANON_MAX}, got {n}")
 
 
 def orbit_mins(size: int, perms) -> list[int]:
@@ -164,8 +171,7 @@ def canonical_form(g: Graph) -> tuple[tuple[int, ...], bytes, list[tuple[int, ..
     """(order, key, auts): order[i] is the original vertex at canonical
     position i, key the canonical key, and auts non-identity automorphisms
     (aut[v] is the image of v) that generate the whole automorphism group."""
-    if g.n > CANON_MAX:
-        raise ValueError(f"canonicalization supports n <= {CANON_MAX}, got {g.n}")
+    check_canon_order(g.n)
     cols, order, auts = _canonicalize(g.n, g.adj)
     return order, bytes([g.n, *pack_upper_triangle((0, *cols), 8)]), auts
 

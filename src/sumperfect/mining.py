@@ -11,38 +11,38 @@ some g - v. A graph whose vertices 0..n-2 induce the task's last graph of
 order n - 1 (in a walk, its parent) resumes that DP: the masks below 2^(n-1)
 come first and are the same. Threshold is decided by elimination instead: a
 non-member is minimal forbidden iff each one-vertex deletion is a member.
-A sweep to max_n cuts the generation tree at the split order
-s = min(_SPLIT, max_n - 1), as geng's res/mod splitting does: the main
-process visits orders 1..s itself, as one task over one walk of that prefix,
-and each order-s graph of the walk (the empty graph when s = 0) is the root
-of one task that walks its subtree depth-first down to max_n, so workers
-enumerate as well as evaluate. A task returns (visited by order, lines,
-bscans); results are merged in root order, and the graph6 lines are only
-read as a set, so output is identical for every worker count. An external
-source stream is cut into tasks of _SOURCE_CHUNK graphs instead, whatever
-their orders; each task counts its graphs by order itself. _sweep is the
-one gate of every sweep: it refuses out-of-range max_n or jobs, and a stream
-graph of order above max_n, with ValueError before anything runs.
+A sweep to max_n cuts the generation tree at the root order
+s = max(1, min(_SPLIT, max_n - 1)), as geng's res/mod splitting does: the
+main process visits orders 1..s-1 as one task over one walk, and each
+order-s graph roots one task that visits it and its subtree depth-first down
+to max_n, so workers enumerate as well as evaluate. Task results are merged
+in root order, and the graph6 lines are only read as a set, so output is
+identical for every worker count. An external source stream is cut into
+tasks of _SOURCE_CHUNK graphs instead, whatever their orders; each task
+counts its graphs by order itself. _sweep is the one gate of every sweep:
+it refuses out-of-range max_n or jobs, and a stream graph of order above
+max_n, with ValueError before anything runs.
 An enumerated sweep can checkpoint into an append-only journal: a JSON
-header line naming the sweep (task, class, level = max_n, split, the number
-of subtree tasks, and the enumerator version, since records follow the
-roots by position), then one JSON line [visited by order, lines, bscans]
-per completed subtree, covering every order above the split. A rerun
-revisits orders up to the split, adds the journaled results like fresh
-ones and runs only the subtrees after them; a journal for another sweep, in
-an older format, with more records than tasks, or with a malformed line
+header line naming the sweep (task, class, level = max_n, roots = s, the
+number of subtree tasks, and the enumerator version, since records follow
+the roots by position), then one JSON line [visited by order, lines, bscans]
+per completed subtree, covering its root and every graph below it. A rerun
+revisits orders below s, adds the journaled results like fresh ones and
+runs only the subtrees after them; a journal for another sweep, in an
+older format, with more records than tasks, or with a malformed line
 other than a torn last one is refused with ValueError.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import multiprocessing
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .canon import canonical_key
+from .canon import canonical_key, check_canon_order
 # children_of stays bound for perfbench/tracing.py; the walks call it
 # through enumeration's memo.
 from .enumeration import (
@@ -175,6 +175,7 @@ def _mine_chunk(class_name: str, graphs: Iterable[Graph]) -> tuple[list[str], in
                 if not fn(delete_vertex(g, 0)):
                     raise AssertionError(f"predicate {class_name!r} is not hereditary")
         elif minimal:
+            check_canon_order(g.n)  # a certificate is keyed: refuse it before mining on
             lines.append(emit_graph6(g))
     return lines, 0
 
@@ -203,13 +204,13 @@ def _work(task) -> tuple[dict[int, int], list[str], int]:
     """Run one task through its chunk function (_mine_chunk,
     _conjecture_chunk or _threshold_chunk, which return the graph6 lines
     found in visit order and the B-scans run). A task (chunk, class, root,
-    max_n) visits the subtree below root down to order max_n; (chunk, class,
-    graphs, None) visits the listed graphs. Returns (visited by order, lines,
-    bscans).
+    max_n) visits root and then its subtree down to order max_n; (chunk,
+    class, graphs, None) visits the listed graphs. Returns (visited by
+    order, lines, bscans).
     """
     chunk, class_name, graphs, max_n = task
     if max_n is not None:
-        graphs = descendants(graphs, max_n)
+        graphs = itertools.chain((graphs,), descendants(graphs, max_n))
     visited: dict[int, int] = {}
 
     def counted() -> Iterator[Graph]:
@@ -294,12 +295,12 @@ def _sweep(chunk, class_name: str, max_n: int, jobs: int,
            checkpoint: str | None, source: Iterable[Graph] | None = None):
     """Visit every graph of order 1..max_n (or of an external stream) once.
 
-    An enumerated sweep walks the orders up to the split once and visits
-    that prefix here as one task; the prefix's order-split graphs (the empty
-    graph when the split is 0) root one task each (see the module
-    docstring). A stream is cut into tasks of _SOURCE_CHUNK graphs. Task
-    results, journaled ones first, go through add in task order, so lines
-    keep visit order. Returns (visited_by_order, lines, bscans).
+    An enumerated sweep walks orders 1..s once, visits those below the root
+    order s here as one task and roots one task at each order-s graph (see
+    the module docstring). A stream is cut into tasks of _SOURCE_CHUNK
+    graphs. Task results, journaled ones first, go through add in task
+    order, so lines keep visit order. Returns (visited_by_order, lines,
+    bscans).
 
     Raises ValueError, before any journal, task or worker exists, unless
     max_n >= 1, jobs >= 1, and max_n is within the enumerator (enumerated)
@@ -332,14 +333,13 @@ def _sweep(chunk, class_name: str, max_n: int, jobs: int,
                  for i in range(0, len(graphs), _SOURCE_CHUNK)]
     else:
         check_order(max_n)
-        split = min(_SPLIT, max_n - 1)
-        empty = Graph(0, ())
-        head = list(descendants(empty, split))
-        roots = [g for g in head if g.n == split] if split else [empty]
-        tasks = [(chunk, class_name, root, max_n) for root in roots]
+        s = max(1, min(_SPLIT, max_n - 1))
+        walk = list(descendants(Graph(0, ()), s))
+        head = [g for g in walk if g.n < s]
+        tasks = [(chunk, class_name, root, max_n) for root in walk if root.n == s]
         if checkpoint:
             header = {"task": chunk.__name__, "class": class_name, "level": max_n,
-                      "split": split, "tasks": len(tasks),
+                      "roots": s, "tasks": len(tasks),
                       "enumerator": ENUMERATOR_VERSION}
             done = _open_journal(checkpoint, header)
         add(_work((chunk, class_name, head, None)))

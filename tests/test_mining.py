@@ -233,6 +233,39 @@ def test_shuffled_source_stream_matches_the_enumerated_sweep(name):
     assert mine_forbidden(name, 7, source=graphs).certificates == swept.certificates
 
 
+@pytest.mark.parametrize("name", ["sum-perfect", "perfect", "deficiency:1"])
+def test_sweep_resumes_the_dp_below_every_subtree_root(monkeypatch, name):
+    # A subtree task visits its root first, so only K1 and the 156 six-vertex
+    # roots scan without their prefix's tables; every other graph follows its
+    # parent.
+    fresh = []
+    real_dp = mining._subset_dp
+
+    def counting_dp(g, bound, stop, tables=None):
+        prev = tables.get(g.n - 1)
+        low = (1 << (g.n - 1)) - 1
+        if prev is None or prev[0] != tuple(row & low for row in g.adj[:-1]):
+            fresh.append(g.n)
+        return real_dp(g, bound, stop, tables)
+
+    monkeypatch.setattr(mining, "_subset_dp", counting_dp)
+    mine_forbidden(name, 7)
+    assert sorted(fresh) == [1] + [6] * 156
+
+
+def test_mine_source_stops_at_a_certificate_above_canon_limit(monkeypatch):
+    # C13 is minimal forbidden under perfect, and its certificate cannot be
+    # keyed: the task that finds it ends the run, before the other chunks.
+    gs = [cycle_graph(13)] + graphs_of_order(5) + graphs_of_order(6)  # chunks of 64, 64, 63
+    monkeypatch.setattr(mining, "_SOURCE_CHUNK", 64)
+    calls = []
+    real_work = mining._work
+    monkeypatch.setattr(mining, "_work", lambda task: calls.append(task) or real_work(task))
+    with pytest.raises(ValueError, match="supports n <= 12, got 13"):
+        mine_forbidden("perfect", 13, source=gs)
+    assert len(calls) == 1
+
+
 def test_mine_source_refuses_graphs_above_max_n():
     gs = [cycle_graph(5), cycle_graph(7), cycle_graph(6)]
     with pytest.raises(ValueError, match="order 7"):
@@ -266,18 +299,19 @@ def _interrupt(monkeypatch, calls: int, sweep) -> None:
 
 def _interrupt_level_6(path, monkeypatch):
     """Mine sum-perfect to 6 with a checkpoint, cut off inside level 6."""
-    # Levels 1..5 are visited in 1 call; level 6 is 34 subtree tasks.
+    # Levels 1..4 are visited in 1 call; the 34 five-vertex graphs root the
+    # subtree tasks.
     _interrupt(monkeypatch, 8, lambda: mine_forbidden("sum-perfect", 6, checkpoint=path))
 
 
 def test_sweep_visits_its_prefix_in_one_task(monkeypatch):
-    # One task for levels 1..5, then one per six-vertex subtree root.
+    # One task for levels 1..4, then one per five-vertex subtree root.
     calls = []
     real_work = mining._work
     monkeypatch.setattr(mining, "_work", lambda task: calls.append(task) or real_work(task))
     mine_forbidden("sum-perfect", 6, jobs=1)
     assert len(calls) == 1 + 34
-    assert len(calls[0][2]) == 1 + 2 + 4 + 11 + 34
+    assert len(calls[0][2]) == 1 + 2 + 4 + 11
 
 
 def test_checkpoint_resume_mid_level(tmp_path, monkeypatch):
@@ -313,7 +347,7 @@ def test_checkpoint_resume_after_torn_last_line(tmp_path, monkeypatch):
 
 def test_conjecture_resumed_with_more_jobs_equals_clean_run(tmp_path, monkeypatch):
     path = str(tmp_path / "conj.ckpt")
-    # Levels 1..6 take 1 call, then 54 of the 156 subtree tasks complete.
+    # Levels 1..5 take 1 call, then 54 of the 156 subtree tasks complete.
     _interrupt(monkeypatch, 55, lambda: verify_conjecture(7, checkpoint=path, jobs=1))
     assert len(_journal(path)[1]) == 54
 
@@ -361,9 +395,9 @@ def test_checkpoint_rejects_mismatched_params(tmp_path):
     mine_forbidden("sum-perfect", 5, checkpoint=str(path))
     with pytest.raises(ValueError):
         mine_forbidden("sum-perfect", 6, checkpoint=str(path))
-    # The same sweep, but with another split or subtree count in the header.
+    # The same sweep, but with another root order or subtree count in the header.
     header, *records = path.read_text().splitlines(keepends=True)
-    for key in ("split", "tasks"):
+    for key in ("roots", "tasks"):
         changed = json.loads(header)
         changed[key] += 1
         path.write_text(json.dumps(changed, sort_keys=True) + "\n" + "".join(records))
@@ -379,20 +413,28 @@ def test_checkpoint_rejects_mismatched_params(tmp_path):
 
 
 def test_checkpoint_refuses_journal_of_previous_enumerator(tmp_path):
-    # A journal as written before the enumerator version joined the header:
-    # its chunks cut a level listed in another order, so resuming over it
-    # could skip graphs and still pass.
     from sumperfect.cli import main
 
     path = tmp_path / "old.ckpt"
-    header = {"chunk_size": 512, "class": "sum-perfect", "level": 6, "task": "_mine_chunk"}
-    path.write_text(json.dumps(header, sort_keys=True) + "\n[156, [], 0]\n")
-    before = path.read_bytes()
-    with pytest.raises(ValueError, match="was written for"):
-        mine_forbidden("sum-perfect", 6, checkpoint=str(path))
-    assert main(["mine", "--class", "sum-perfect", "--max-n", "6",
-                 "--checkpoint", str(path)]) == 2
-    assert path.read_bytes() == before
+    old_journals = [
+        # As written before the enumerator version joined the header: its
+        # chunks cut a level listed in another order, so resuming over it
+        # could skip graphs and still pass.
+        ({"chunk_size": 512, "class": "sum-perfect", "level": 6, "task": "_mine_chunk"},
+         "[156, [], 0]\n"),
+        # As written when a subtree record did not cover its root: resuming
+        # over it would never visit the roots of its finished subtrees.
+        ({"class": "sum-perfect", "enumerator": 2, "level": 6, "split": 5,
+          "task": "_mine_chunk", "tasks": 34}, '[{"6": 1}, [], 0]\n'),
+    ]
+    for header, records in old_journals:
+        path.write_text(json.dumps(header, sort_keys=True) + "\n" + records)
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="was written for"):
+            mine_forbidden("sum-perfect", 6, checkpoint=str(path))
+        assert main(["mine", "--class", "sum-perfect", "--max-n", "6",
+                     "--checkpoint", str(path)]) == 2
+        assert path.read_bytes() == before
 
 
 def test_mine_source_jobs_agree(tmp_path, monkeypatch):
