@@ -19,7 +19,10 @@ from __future__ import annotations
 
 from typing import Iterator
 
-# canonical_key and induced_subgraph stay bound for perfbench/tracing.py.
+# canonical_key and induced_subgraph stay bound for perfbench/tracing.py,
+# which wraps them for canon.calls.enumeration, canon.s.enumeration,
+# canon.keys_per_child and graphs.calls.enumeration. They feed nothing:
+# children_of labels through canonical_form and calls neither, so those read 0.
 from .canon import canonical_form, canonical_key, orbit_mins
 from .graphs import Graph, induced_subgraph
 

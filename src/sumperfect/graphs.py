@@ -3,7 +3,9 @@
 Vertices are 0..n-1 with n <= 64. Adjacency is one machine-word bitmask per
 vertex (bit u of adj[v] set iff uv is an edge), which keeps neighbourhood
 intersections, subset tests and degree counts branch-free. Vertex sets are
-plain ints used as bitmasks throughout the package.
+plain ints used as bitmasks throughout the package, and `vertices_of` is the
+one walk over a set's vertices; only the hot loops that
+tests/test_bit_walks.py lists keep an inline `x & -x` walk.
 """
 
 from __future__ import annotations
@@ -50,12 +52,9 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, in lexicographic order."""
-        for u in range(self.n):
-            rest = self.adj[u] >> (u + 1)
-            while rest:
-                b = rest & -rest
-                yield (u, u + 1 + b.bit_length() - 1)
-                rest ^= b
+        for u, row in enumerate(self.adj):
+            for w in vertices_of(row >> (u + 1)):
+                yield (u, u + 1 + w)
 
     def edge_count(self) -> int:
         return sum(a.bit_count() for a in self.adj) // 2
@@ -135,50 +134,38 @@ def disjoint_union(a: Graph, b: Graph) -> Graph:
     return Graph(a.n + b.n, tuple(adj))
 
 
-def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    full = g.vertex_mask()
-    seen = 1
-    frontier = 1
-    while frontier:
+def _layers(g: Graph, start: int, left: int) -> Iterator[int]:
+    """Masks of the breadth-first layers of start's component inside left."""
+    layer = 1 << start
+    while layer:
+        yield layer
+        left &= ~layer
         nxt = 0
-        while frontier:
-            b = frontier & -frontier
-            nxt |= g.adj[b.bit_length() - 1]
-            frontier ^= b
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == full
+        for v in vertices_of(layer):
+            nxt |= g.adj[v]
+        layer = nxt & left
+
+
+def is_connected(g: Graph) -> bool:
+    """True iff the (disjoint) layers from vertex 0 add up to every vertex."""
+    full = g.vertex_mask()
+    return g.n == 0 or sum(_layers(g, 0, full)) == full
 
 
 def bipartition(g: Graph) -> tuple[int, int] | None:
-    """A 2-colouring (maskA, maskB) if g is bipartite, else None."""
-    color = [-1] * g.n
-    a = b = 0
+    """A 2-colouring (maskA, maskB) if g is bipartite, else None. The layers
+    of each component, from its lowest vertex, alternate sides starting with
+    maskA; g is bipartite iff neither side then holds an edge."""
+    sides = [0, 0]
+    left = g.vertex_mask()
     for start in range(g.n):
-        if color[start] >= 0:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            row = g.adj[v]
-            while row:
-                bit = row & -row
-                u = bit.bit_length() - 1
-                row ^= bit
-                if color[u] < 0:
-                    color[u] = 1 - color[v]
-                    stack.append(u)
-                elif color[u] == color[v]:
-                    return None
-    for v, c in enumerate(color):
-        if c == 0:
-            a |= 1 << v
-        else:
-            b |= 1 << v
-    return a, b
+        if (left >> start) & 1:
+            for i, layer in enumerate(_layers(g, start, left)):
+                sides[i & 1] |= layer
+                left ^= layer
+    if any(g.adj[v] & side for side in sides for v in vertices_of(side)):
+        return None
+    return sides[0], sides[1]
 
 
 # Small named builders used by the family constants and the test corpus.

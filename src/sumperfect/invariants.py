@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from .graphs import Graph, complement
+from .graphs import Graph, complement, vertices_of
 
 DEFICIENCY_MAX = 20
 LOVASZ_MAX = 16
@@ -147,11 +147,7 @@ def matching_number(g: Graph) -> int:
 
         end = -1
         for v in queue:
-            row = adj[v]
-            while row and end < 0:
-                bit = row & -row
-                row ^= bit
-                to = bit.bit_length() - 1
+            for to in vertices_of(adj[v]):
                 if base[v] == base[to] or mate[v] == to:
                     continue
                 if to == root or (mate[to] >= 0 and parent[mate[to]] >= 0):
@@ -169,9 +165,9 @@ def matching_number(g: Graph) -> int:
                     parent[to] = v
                     if mate[to] < 0:
                         end = to
-                    else:
-                        outer[mate[to]] = True
-                        queue.append(mate[to])
+                        break
+                    outer[mate[to]] = True
+                    queue.append(mate[to])
             if end >= 0:
                 break
         while end >= 0:
@@ -324,24 +320,11 @@ def validate_pair(g: Graph, pair: StableCliquePair) -> bool:
     """Check stability, cliqueness, range, and |stable & clique| <= 1."""
     full = g.vertex_mask()
     s, m = pair.stable, pair.clique
-    if (s & ~full) or (m & ~full):
+    if (s | m) & ~full or (s & m).bit_count() > 1:
         return False
-    if (s & m).bit_count() > 1:
+    if any(g.adj[v] & s for v in vertices_of(s)):
         return False
-    rest = s
-    while rest:
-        b = rest & -rest
-        rest ^= b
-        if g.adj[b.bit_length() - 1] & s:
-            return False
-    rest = m
-    while rest:
-        b = rest & -rest
-        v = b.bit_length() - 1
-        rest ^= b
-        if (g.adj[v] & m) != (m ^ b):
-            return False
-    return True
+    return all((g.adj[v] & m) == (m ^ (1 << v)) for v in vertices_of(m))
 
 
 @dataclass(frozen=True)

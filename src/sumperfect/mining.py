@@ -43,8 +43,9 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .canon import canonical_key, check_canon_order
-# children_of stays bound for perfbench/tracing.py; the walks call it
-# through enumeration's memo.
+# children_of stays bound for perfbench/tracing.py, which wraps it into the
+# enumeration span. It feeds nothing: the walks call enumeration's own
+# binding through its memo, and that wrapper makes the enumeration figures.
 from .enumeration import (
     ENUMERATOR_VERSION,
     check_order,
@@ -111,10 +112,14 @@ def _resolve(name: str) -> tuple[Callable[[Graph], bool] | None, _SubsetForm | N
 
 
 def get_predicate(name: str) -> ClassPredicate:
-    """Resolve a predicate name: sum-perfect, threshold, perfect, deficiency:C."""
-    fn = _resolve(name)[0]
+    """Resolve a predicate name: sum-perfect, threshold, perfect, deficiency:C.
+    The predicate spells C in plain decimal (its form's stop), so
+    deficiency:01 is named deficiency:1."""
+    fn, form = _resolve(name)
     if fn is None:
         raise ValueError(f"unknown class predicate {name!r}")
+    if name.startswith("deficiency:"):
+        name = f"deficiency:{form.stop}"
     return ClassPredicate(name, fn)
 
 
@@ -385,7 +390,8 @@ def mine_forbidden(class_name: str, max_n: int, *, jobs: int = 1,
     Certificates are deduplicated by canonical key and ordered by
     (order, key), making the output independent of worker count.
     """
-    get_predicate(class_name)  # validate the name before sweeping
+    # validate the name before sweeping, and spell it as the results do
+    class_name = get_predicate(class_name).name
     visited_by_order, lines, _ = _sweep(
         _mine_chunk, class_name, max_n, jobs, checkpoint, source
     )

@@ -7,7 +7,11 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sumperfect"
 
-# Bindings kept only so that perfbench/tracing.py can wrap them.
+# Bindings kept only so that perfbench/tracing.py can wrap them. None is
+# ever called, so they feed nothing: the enumeration ones would feed
+# canon.*.enumeration, canon.keys_per_child and graphs.calls.enumeration
+# (which read 0), and mining's children_of the enumeration span (which
+# enumeration's binding feeds).
 KEPT_FOR_TRACER = {
     "enumeration.py: canonical_key",
     "enumeration.py: induced_subgraph",

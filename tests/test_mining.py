@@ -412,6 +412,22 @@ def test_checkpoint_rejects_mismatched_params(tmp_path):
         verify_conjecture(6, checkpoint=other)
 
 
+def test_deficiency_class_has_one_spelling(tmp_path, monkeypatch, capsys):
+    # deficiency:01 and deficiency:1 are one class: one name in the summary
+    # and the journal header, so either spelling resumes the other's journal.
+    from sumperfect.cli import main
+
+    path = str(tmp_path / "deficiency.ckpt")
+    _interrupt(monkeypatch, 8, lambda: mine_forbidden("deficiency:01", 6, checkpoint=path))
+    assert _journal(path)[0]["class"] == "deficiency:1"
+    assert main(["mine", "--class", "deficiency:1", "--max-n", "6",
+                 "--checkpoint", path]) == 0
+    assert main(["mine", "--class", "deficiency:01", "--max-n", "6"]) == 0
+    summaries = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [s["class"] for s in summaries] == ["deficiency:1"] * 2
+    assert summaries[0] == summaries[1]
+
+
 def test_checkpoint_refuses_journal_of_previous_enumerator(tmp_path):
     from sumperfect.cli import main
 
