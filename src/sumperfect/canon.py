@@ -31,15 +31,20 @@ The automorphisms found generate the whole group Aut(G), for every n:
   regular: an automorphism fixing a discrete order is the identity.
 - Each visited L* leaf yields the automorphism from the first L* leaf
   visited to it.
-- A sibling is skipped only when a product of found automorphisms that fix
-  the path maps an explored sibling onto it, so its subtree is that
-  product's image of an explored subtree, which the search reached earlier.
+- A sibling is explored iff it is the least vertex of its orbit under the
+  found automorphisms that fix the path. These keep the path's colouring,
+  so a skipped sibling's orbit lies in the ascending target cell and holds
+  an earlier sibling, hence (by induction, as orbits only grow) an explored
+  one. A product of them maps that one's subtree, reached earlier, onto it.
 - By induction over the search order, every L* leaf is then the image of
   the first one under the group H the found automorphisms generate: H is
   transitive on L*, and since Aut(G) acts regularly there, |H| = |L*| =
   |Aut(G)|, so H = Aut(G).
 
-Enumeration relies on this on both sides of its acceptance rule.
+Enumeration relies on this on both sides of its acceptance rule, and on the
+first canonical vertex lying in the root refinement's first cell, which holds
+vertices of least (degree, sorted neighbour degrees): refinement ranks cells
+by degree, then by that profile, and individualisation keeps their order.
 
 There is one labelling path: `canonical_form` checks the n <= CANON_MAX
 envelope (with `check_canon_order`, which mining also calls before it
@@ -107,10 +112,12 @@ def _refine(n: int, adj: tuple[int, ...], colors: list[int]) -> list[int]:
         ncls = len(ids)
 
 
-def _canonicalize(n: int, adj: tuple[int, ...]):
-    """Return (cols, order, auts): minimal column tuple, the permutation
-    achieving it (order[i] = original vertex at canonical position i), and
-    non-identity automorphisms that generate the automorphism group."""
+def canonical_form(g: Graph) -> tuple[tuple[int, ...], bytes, list[tuple[int, ...]]]:
+    """(order, key, auts): order[i] is the original vertex at canonical
+    position i, key the canonical key, and auts non-identity automorphisms
+    (aut[v] is the image of v) that generate the whole automorphism group."""
+    n, adj = g.n, g.adj
+    check_canon_order(n)
     best_cols: tuple[int, ...] | None = None
     best_order: tuple[int, ...] | None = None
     auts: list[tuple[int, ...]] = []
@@ -150,30 +157,24 @@ def _canonicalize(n: int, adj: tuple[int, ...]):
                     auts.append(tau)
             return
 
-        done: list[int] = []
+        # Explore each orbit at its least vertex (the first one always is);
+        # the orbits change only when a leaf below adds an automorphism.
+        mins: list[int] = []
+        known = -1
         for v in target:
-            # Nothing is explored yet at the first child, so skip the filtering.
-            if done:
-                mins = orbit_mins(n, [a for a in auts if all(a[p] == p for p in path)])
-                if any(mins[u] == mins[v] for u in done):
+            if v != target[0]:
+                if known != len(auts):
+                    known = len(auts)
+                    mins = orbit_mins(n, [a for a in auts if all(a[p] == p for p in path)])
+                if mins[v] != v:
                     continue
             split = [2 * c + 1 for c in colors]
             split[v] = 2 * colors[v]
             rec(_refine(n, adj, split), path + (v,))
-            done.append(v)
 
     rec(_refine(n, adj, [0] * n), ())
     assert best_cols is not None and best_order is not None
-    return best_cols, best_order, auts
-
-
-def canonical_form(g: Graph) -> tuple[tuple[int, ...], bytes, list[tuple[int, ...]]]:
-    """(order, key, auts): order[i] is the original vertex at canonical
-    position i, key the canonical key, and auts non-identity automorphisms
-    (aut[v] is the image of v) that generate the whole automorphism group."""
-    check_canon_order(g.n)
-    cols, order, auts = _canonicalize(g.n, g.adj)
-    return order, bytes([g.n, *pack_upper_triangle((0, *cols), 8)]), auts
+    return best_order, bytes([n, *pack_upper_triangle((0, *best_cols), 8)]), auts
 
 
 def canonical_labeling(g: Graph) -> tuple[tuple[int, ...], bytes]:

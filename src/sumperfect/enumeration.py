@@ -6,13 +6,13 @@ with one new vertex. The parent is labelled once, and its automorphism group
 decides which neighbourhoods to try: one per orbit of the group on vertex
 subsets, the smallest of each (every subset when the group is trivial).
 
-A child survives only when its new vertex is a canonical deletion: among the
-vertices of least (degree, sorted neighbour-degree profile), the first in
-the child's canonical order is w, and the new vertex must lie in w's orbit
-under the child's automorphisms. When the new vertex is the only vertex of
-least (degree, profile), the degree arithmetic decides and no labelling is
-made; otherwise the child is labelled once. Both sides need the whole
-automorphism group, which `canon` guarantees.
+A child is kept iff its new vertex is a canonical deletion: it shares an
+orbit of the child's automorphism group with the child's first canonical
+vertex. `canon` always takes that vertex from the vertices of least
+(degree, sorted neighbour-degree profile), so a new vertex outside them is
+rejected, and one alone among them accepted, by the degree and profile
+tests with no labelling; otherwise the child is labelled once. Both sides
+need the whole automorphism group, which `canon` guarantees.
 """
 
 from __future__ import annotations
@@ -101,25 +101,23 @@ def children_of(parent: Graph) -> list[Graph]:
         if tied:
             # Neighbour-degree profiles break most remaining ties.
             pv = profile(rows, cd, pn)
-            hard: list[int] = []
-            reject = False
+            hard = reject = False
             for u in tied:
                 pu = profile(rows, cd, u)
                 if pu < pv:
                     reject = True
                     break
-                if pu == pv:
-                    hard.append(u)
+                hard = hard or pu == pv
             if reject:
                 continue
             if hard:
-                # Accept iff the new vertex is in the orbit of the first
-                # tied vertex of the child's canonical order.
+                # Accept iff the new vertex shares an orbit with the child's
+                # first canonical vertex, which canon takes from the vertices
+                # of least (degree, profile): the new vertex and its ties.
                 order, _, child_auts = canonical_form(child)
-                w = next(x for x in order if x == pn or x in hard)
-                if w != pn:
+                if order[0] != pn:
                     mins = orbit_mins(pn + 1, child_auts)
-                    if mins[w] != mins[pn]:
+                    if mins[order[0]] != mins[pn]:
                         continue
         out.append(child)
 

@@ -8,6 +8,7 @@ from math import comb, factorial
 import pytest
 
 from oracles import brute_is_isomorphic, labeled_graphs
+from sumperfect import canon
 from sumperfect.canon import (
     canonical_form,
     canonical_key,
@@ -242,3 +243,21 @@ def test_canonical_forms_are_pinned():
     assert h.hexdigest() == (
         "bb1bf87c901516945bd07a7f410a93f2dee77bf5d77abd8d9ab589bad5ff2339"
     )
+
+
+def test_canonical_order_starts_in_the_least_degree_profile_cell():
+    # Enumeration's acceptance rule reads the child's first canonical vertex
+    # as one of least (degree, sorted neighbour degrees); its profile test
+    # rejects every other child.
+    for g in _pin_corpus():
+        if g.n == 0:
+            continue
+        deg = [a.bit_count() for a in g.adj]
+        profile = [
+            (deg[v], sorted(deg[u] for u in range(g.n) if g.has_edge(u, v)))
+            for v in range(g.n)
+        ]
+        colors = canon._refine(g.n, g.adj, [0] * g.n)
+        first = [v for v in range(g.n) if colors[v] == 0]
+        assert canonical_form(g)[0][0] in first
+        assert all(profile[v] == min(profile) for v in first)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 
@@ -187,6 +188,34 @@ def test_recognize_all_witnesses(tmp_path, capsys):
     assert rec["verdict"] is False
     assert len(rec["all_copies"]) == 1
     assert rec["all_copies"][0]["forbidden_index"] == 1
+
+
+def test_recognize_witness_output_is_pinned(tmp_path, capsys):
+    # Forbidden-copy embeddings are read off canonical orders, so these bytes
+    # also pin the canonical search. Re-pin only with a deliberate change of
+    # either.
+    rng = random.Random(29)
+    lines = []
+    for n in range(5, 13):
+        for _ in range(100):
+            p = rng.random()
+            lines.append(emit_graph6(from_edge_list(n, [
+                (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p
+            ])))
+    for n in (14, 15, 16):
+        # Split hosts: a clique half, a stable half, random cross edges.
+        k = n // 2
+        lines.append(emit_graph6(from_edge_list(n, [
+            (i, j) for i in range(n) for j in range(i + 1, n)
+            if j < k or (i < k and rng.random() < 0.5)
+        ])))
+    path = tmp_path / "in.g6"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, _ = run(capsys, "recognize", str(path), "--witness")
+    assert code == 0 and len(out.splitlines()) == 803
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "08d9b2be93d7745d940c5a773682c11c458bc29f387560a880f4d60bdd0fed58"
+    )
 
 
 def test_mine_emits_certs_then_summary(capsys):

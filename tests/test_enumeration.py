@@ -5,7 +5,7 @@ import hashlib
 import pytest
 
 from oracles import labeled_graphs
-from sumperfect.canon import canonical_key
+from sumperfect.canon import canonical_form, canonical_key, orbit_mins
 from sumperfect.enumeration import (
     ENUMERATOR_VERSION,
     children_of,
@@ -53,6 +53,33 @@ def test_children_extend_parent():
                 (child.adj[u] & ((1 << parent.n) - 1)) == parent.adj[u]
                 for u in range(parent.n)
             )
+
+
+def test_children_follow_the_plain_acceptance_rule():
+    # One child per orbit of the parent's group on neighbourhoods (the least
+    # of each), kept iff its new vertex shares an orbit with the child's
+    # first canonical vertex. children_of's degree and profile shortcuts
+    # must never change that decision.
+    for pn in range(7):
+        for parent in graphs_of_order(pn):
+            auts = canonical_form(parent)[2]
+            images = [
+                [sum(1 << a[u] for u in range(pn) if nb >> u & 1) for nb in range(1 << pn)]
+                for a in auts
+            ]
+            kept = []
+            for nb, m in enumerate(orbit_mins(1 << pn, images)):
+                if nb != m:
+                    continue
+                rows = tuple(
+                    parent.adj[u] | (nb >> u & 1) << pn for u in range(pn)
+                ) + (nb,)
+                child = Graph(pn + 1, rows)
+                order, _, child_auts = canonical_form(child)
+                mins = orbit_mins(pn + 1, child_auts)
+                if mins[order[0]] == mins[pn]:
+                    kept.append(child)
+            assert children_of(parent) == kept
 
 
 def test_stream_agrees_with_list():
