@@ -98,9 +98,7 @@ def _member(index: int) -> Graph:
         return from_edge_list(n, edges)
     if 14 <= index <= 25:
         return complement(_member(index - 12))
-    if index == 27:
-        return complement(_member(26))
-    raise ValueError(f"no member {index}")
+    return complement(_member(26))  # member 27
 
 
 @lru_cache(maxsize=1)

@@ -171,14 +171,11 @@ class PatternSet:
                     label, pat, subset, _embedding_from_orders(subset, sub_order, pat_order)
                 )
 
-    def find_first(self, host: Graph) -> PatternHit | None:
-        return next(self.scan(host), None)
-
     def contains_any(self, host: Graph) -> bool:
-        return self.find_first(host) is not None
+        return next(self.scan(host), None) is not None
 
 
 def contains_induced(host: Graph, pattern: Graph) -> Embedding | None:
     """First embedding of pattern into host in lexicographic subset order."""
-    hit = PatternSet([(None, pattern)]).find_first(host)
+    hit = next(PatternSet([(None, pattern)]).scan(host), None)
     return hit.embedding if hit is not None else None

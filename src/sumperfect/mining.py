@@ -53,7 +53,7 @@ from .enumeration import (
     descendants,
 )
 from .family import build_conjecture_family, build_family
-from .graph6 import emit_graph6, parse_graph6
+from .graph6 import _decimal, emit_graph6, parse_graph6
 from .graphs import Graph, delete_vertex
 from .induced import PatternSet
 from .invariants import (
@@ -100,12 +100,12 @@ def _resolve(name: str) -> tuple[Callable[[Graph], bool] | None, _SubsetForm | N
         return is_perfect_lovasz, _SubsetForm(_PRODUCT_BOUND, 0)
     if name.startswith("deficiency:"):
         arg = name.split(":", 1)[1]
-        try:  # int() also refuses more digits than sys.get_int_max_str_digits()
-            c = int(arg) if arg.isascii() and arg.isdigit() else -1
+        try:
+            c = _decimal(arg)
         except ValueError:
-            c = -1
-        if c < 0:
-            raise ValueError(f"deficiency parameter must be an integer >= 0, got {arg!r}")
+            raise ValueError(
+                f"deficiency parameter must be an integer >= 0, got {arg!r}"
+            ) from None
         form = _SubsetForm(_SUM_BOUND, c)
         return (lambda g: not has_deficiency_above(g, c)), form
     return None, None
@@ -243,7 +243,7 @@ def _map_tasks(tasks: list, jobs: int) -> Iterator:
 def _is_record(rec) -> bool:
     return (isinstance(rec, list) and len(rec) == 3 and type(rec[2]) is int
             and isinstance(rec[0], dict)
-            and all(k.isdecimal() and type(v) is int for k, v in rec[0].items())
+            and all(k.isascii() and k.isdigit() and type(v) is int for k, v in rec[0].items())
             and isinstance(rec[1], list) and all(isinstance(x, str) for x in rec[1]))
 
 

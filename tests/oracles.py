@@ -34,6 +34,15 @@ def brute_omega(g: Graph) -> int:
     return 0
 
 
+def brute_vertex_cover(g: Graph) -> int:
+    """Size of a smallest vertex set meeting every edge, by increasing size."""
+    edges = list(g.edges())
+    for k in range(g.n + 1):
+        for sub in combinations(range(g.n), k):
+            if all(u in sub or v in sub for u, v in edges):
+                return k
+
+
 def brute_matching(g: Graph) -> int:
     edges = list(g.edges())
     best = 0

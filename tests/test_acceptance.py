@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 import random
 
+from oracles import brute_vertex_cover
 from sumperfect.canon import canonical_key
 from sumperfect.enumeration import graphs_of_order
 from sumperfect.family import build_family, enumerate_bipartite_pm6, verify_family
@@ -157,6 +158,7 @@ def test_acceptance_8_invariant_properties(h26):
             alpha = stability_number(g)
             omega = clique_number(g)
             assert alpha + vertex_cover_number(g) == g.n
+            assert vertex_cover_number(g) == brute_vertex_cover(g)
             assert alpha == clique_number(complement(g))
             assert g.n - alpha - omega >= -1
             if bipartition(g) is not None:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from sumperfect.graphs import (
@@ -25,6 +27,19 @@ def test_from_edge_list_c5(c5):
     assert g == c5
     assert g.edge_count() == 5
     assert all(g.degree(v) == 2 for v in range(5))
+
+
+def test_graph_value_semantics(c5):
+    # Compared and hashed by (n, adj), equal only to Graphs, picklable for
+    # the worker pool, and slotted.
+    twin = Graph(5, tuple(c5.adj))
+    assert twin == c5 and hash(twin) == hash(c5)
+    assert {c5: "c5"}[twin] == "c5"
+    assert twin != Graph(5, (0,) * 5) and twin != Graph(6, c5.adj + (0,))
+    assert c5 != (c5.n, c5.adj) and (c5.n, c5.adj) != c5
+    assert pickle.loads(pickle.dumps(c5)) == c5
+    assert repr(path_graph(3)) == "Graph(n=3, edges=[(0, 1), (1, 2)])"
+    assert not hasattr(c5, "__dict__")
 
 
 def test_from_edge_list_empty():

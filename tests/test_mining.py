@@ -390,6 +390,21 @@ def test_checkpoint_refuses_unreadable_journals(tmp_path):
         mine_forbidden("sum-perfect", 5, checkpoint=str(path))
 
 
+def test_checkpoint_refuses_non_ascii_order_keys(tmp_path):
+    # int() reads "٣" (ARABIC-INDIC DIGIT THREE) as 3, so a record keyed
+    # by it would add to the graphs visited at order 3.
+    path = tmp_path / "conj.ckpt"
+    verify_conjecture(7, checkpoint=str(path), jobs=1)
+    header, first, *rest = path.read_text().splitlines(keepends=True)
+    record = json.loads(first)
+    record[0]["٣"] = 5
+    path.write_text(header + json.dumps(record) + "\n" + "".join(rest))
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="not a readable checkpoint journal"):
+        verify_conjecture(7, checkpoint=str(path), jobs=1)
+    assert path.read_bytes() == before
+
+
 def test_checkpoint_rejects_mismatched_params(tmp_path):
     path = tmp_path / "mine.ckpt"
     mine_forbidden("sum-perfect", 5, checkpoint=str(path))
