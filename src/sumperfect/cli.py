@@ -133,15 +133,12 @@ def cmd_analyze(args) -> int:
         else:
             records.append(_analysis_record(gid, g))
     if args.format == "text":
-        rows = [
+        rows = [_ANALYZE_COLUMNS] + [
             [str(rec[c]) if rec[c] is not None else "-" for c in _ANALYZE_COLUMNS]
             for rec in records
         ]
-        widths = [
-            max(len(c), *(len(r[i]) for r in rows)) if rows else len(c)
-            for i, c in enumerate(_ANALYZE_COLUMNS[:-1])
-        ] + [0]  # the last column is not padded
-        print("  ".join(c.ljust(w) for c, w in zip(_ANALYZE_COLUMNS, widths)))
+        # The last column is not padded.
+        widths = [max(map(len, col)) for col in zip(*rows)][:-1] + [0]
         for r in rows:
             print("  ".join(x.ljust(w) for x, w in zip(r, widths)))
     return EXIT_USAGE if failed else EXIT_OK
@@ -150,30 +147,18 @@ def cmd_analyze(args) -> int:
 # family -----------------------------------------------------------------------
 
 def cmd_family(args) -> int:
-    if args.set == "F":
-        members = list(build_family())
-    else:
-        members = list(build_conjecture_family())
-    if args.format == "json":
-        for m in members:
-            print(json.dumps({
-                "index": m.index,
-                "name": m.name,
-                "n": m.graph.n,
-                "graph6": emit_graph6(m.graph),
-                "edges": list(m.graph.edges()),
-            }))
-    elif args.format == "graph6":
-        for m in members:
-            print(emit_graph6(m.graph))
-    elif args.format == "edges":
-        for m in members:
-            print(f"# {m.index} {m.name}")
-            print(emit_edge_list(m.graph))
-            print()
-    else:
-        for m in members:
-            print(f"{m.index}\t{m.name}\t{emit_graph6(m.graph)}")
+    for m in build_family() if args.set == "F" else build_conjecture_family():
+        g6 = emit_graph6(m.graph)
+        if args.format == "json":
+            line = json.dumps({"index": m.index, "name": m.name, "n": m.graph.n,
+                               "graph6": g6, "edges": list(m.graph.edges())})
+        elif args.format == "graph6":
+            line = g6
+        elif args.format == "edges":
+            line = f"# {m.index} {m.name}\n{emit_edge_list(m.graph)}\n"
+        else:
+            line = f"{m.index}\t{m.name}\t{g6}"
+        print(line)
     return EXIT_OK
 
 

@@ -15,8 +15,7 @@ from dataclasses import asdict, dataclass
 
 from .graphs import Graph, complement, vertices_of
 
-DEFICIENCY_MAX = 20
-LOVASZ_MAX = 16
+SUBSET_MAX = 20
 
 
 # Maximum clique branch-and-bound ------------------------------------------
@@ -212,12 +211,10 @@ def deficit(g: Graph) -> int:
     return g.n - stability_number(g) - clique_number(g)
 
 
-# Bounds that the subset DP compares |S| against, indexed [alpha(S)][omega(S)];
-# a table with rows 0..N serves graphs of up to N vertices.
-_SUM_BOUND = [[a + w for w in range(DEFICIENCY_MAX + 1)]
-              for a in range(DEFICIENCY_MAX + 1)]
-_PRODUCT_BOUND = [[a * w for w in range(LOVASZ_MAX + 1)]
-                  for a in range(LOVASZ_MAX + 1)]
+# Bounds that the subset DP compares |S| against, indexed [alpha(S)][omega(S)]
+# for graphs of up to SUBSET_MAX vertices.
+_SUM_BOUND = [[a + w for w in range(SUBSET_MAX + 1)] for a in range(SUBSET_MAX + 1)]
+_PRODUCT_BOUND = [[a * w for w in range(SUBSET_MAX + 1)] for a in range(SUBSET_MAX + 1)]
 
 
 def _subset_dp(g: Graph, bound: list[list[int]], stop: int | None,
@@ -244,14 +241,14 @@ def _subset_dp(g: Graph, bound: list[list[int]], stop: int | None,
     the masks below 2^(n-1), that prefix's subsets, come first in the same
     order, so only those holding vertex n - 1 are new (none if it hit `stop`).
 
-    Raises ValueError unless n < len(bound): the one envelope check of
-    every subset scan.
+    Raises ValueError if n > SUBSET_MAX: the one envelope check of every
+    subset scan.
     """
     n = g.n
     if n == 0:
         return 0, None
-    if n >= len(bound):
-        raise ValueError(f"subgraph scan supports n <= {len(bound) - 1}, got {n}")
+    if n > SUBSET_MAX:
+        raise ValueError(f"subgraph scan supports n <= {SUBSET_MAX}, got {n}")
     half = 1 << (n - 1)
     prev = tables.get(n - 1) if tables is not None else None
     if prev is not None and prev[0] == tuple(row & (half - 1) for row in g.adj[:-1]):

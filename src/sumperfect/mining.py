@@ -29,8 +29,9 @@ the roots by position), then one JSON line [visited by order, lines, bscans]
 per completed subtree, covering its root and every graph below it. A rerun
 revisits orders below s, adds the journaled results like fresh ones and
 runs only the subtrees after them; a journal for another sweep, in an
-older format, with more records than tasks, or with a malformed line
-other than a torn last one is refused with ValueError.
+older format, with more records than tasks, with a record no subtree of
+its sweep can give, or with a malformed line other than a torn last one
+is refused with ValueError.
 """
 
 from __future__ import annotations
@@ -240,11 +241,18 @@ def _map_tasks(tasks: list, jobs: int) -> Iterator:
 
 # Checkpoint journal ------------------------------------------------------------
 
-def _is_record(rec) -> bool:
-    return (isinstance(rec, list) and len(rec) == 3 and type(rec[2]) is int
-            and isinstance(rec[0], dict)
-            and all(k.isascii() and k.isdigit() and type(v) is int for k, v in rec[0].items())
-            and isinstance(rec[1], list) and all(isinstance(x, str) for x in rec[1]))
+def _is_record(rec, header: dict) -> bool:
+    """True iff rec can be one subtree's [visited by order, lines, bscans]
+    in the sweep header names: its root order visited once, only orders
+    roots..level, each at least once, and 0..visited B-scans."""
+    if not (isinstance(rec, list) and len(rec) == 3 and isinstance(rec[0], dict)
+            and isinstance(rec[1], list) and all(isinstance(x, str) for x in rec[1])):
+        return False
+    visited, _, bscans = rec
+    orders = {str(n) for n in range(header["roots"], header["level"] + 1)}
+    return (visited.keys() <= orders and visited.get(str(header["roots"])) == 1
+            and all(type(v) is int and v >= 1 for v in visited.values())
+            and type(bscans) is int and 0 <= bscans <= sum(visited.values()))
 
 
 def _open_journal(path: str, header: dict) -> list[tuple[dict[int, int], list[str], int]]:
@@ -254,8 +262,9 @@ def _open_journal(path: str, header: dict) -> list[tuple[dict[int, int], list[st
     over records of an older format. A last line without its newline is a
     torn write: it is dropped and cut off, so the next record starts a fresh
     line. Any other unreadable line (so a non-empty file without a complete
-    line, which has no header), or more records than header["tasks"], is
-    refused with ValueError before the file is changed.
+    line, which has no header), a record _is_record refuses, or more
+    records than header["tasks"], is refused with ValueError before the
+    file is changed.
     """
     try:
         with open(path, "rb") as fh:
@@ -278,7 +287,7 @@ def _open_journal(path: str, header: dict) -> list[tuple[dict[int, int], list[st
             f"checkpoint {path!r} was written for {json.dumps(found, sort_keys=True)}, "
             f"not {json.dumps(header, sort_keys=True)}"
         )
-    if not isinstance(found, dict) or not all(map(_is_record, records)):
+    if not isinstance(found, dict) or not all(_is_record(r, header) for r in records):
         raise ValueError(
             f"checkpoint {path!r} is not a readable checkpoint journal; "
             "delete it to start over"

@@ -135,7 +135,7 @@ def check_threshold_theorem(g: Graph) -> bool:
     """True iff every non-empty induced subgraph has alpha + omega = |V| + 1.
 
     Deficit is never below -1, so this is equivalent to no induced subgraph
-    having deficit above -1; the subset scan refuses n > 20 (DEFICIENCY_MAX).
+    having deficit above -1; the subset scan refuses n > SUBSET_MAX (20).
     """
     if g.n == 0:
         return True

@@ -10,8 +10,8 @@ import sumperfect.cli as cli
 from sumperfect.cli import main
 from sumperfect.enumeration import ENUM_MAX
 from sumperfect.graph6 import emit_graph6, parse_graph6
-from sumperfect.graphs import complete_graph, cycle_graph, from_edge_list
-from sumperfect.invariants import DEFICIENCY_MAX, LOVASZ_MAX
+from sumperfect.graphs import complete_graph, cycle_graph, disjoint_union, from_edge_list
+from sumperfect.invariants import SUBSET_MAX
 from sumperfect.mining import ConjectureReport, MineResult, Theorem27Report, ThresholdReport
 
 
@@ -218,6 +218,37 @@ def test_recognize_witness_output_is_pinned(tmp_path, capsys):
     )
 
 
+def test_family_and_analyze_output_is_pinned(tmp_path, capsys):
+    # Every family set and format, then analyze text and JSON over seeded
+    # G(n, p) graphs with n = 0..12 and a bad line, and over one edge-list
+    # block. Re-pin only with a deliberate change of the printed tables.
+    rng = random.Random(25)
+    lines = []
+    for n in range(13):
+        for _ in range(3):
+            p = rng.random()
+            lines.append(emit_graph6(from_edge_list(n, [
+                (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p
+            ])))
+    lines.insert(20, "not graph6")
+    g6 = tmp_path / "mix.g6"
+    g6.write_text("\n".join(lines) + "\n")
+    edges = tmp_path / "mix.txt"
+    edges.write_text("7\n0 1\n1 2\n2 3\n3 4\n4 0\n5 6\n")
+    runs = [("family", "--set", s, "--format", f)
+            for s in ("F", "B") for f in ("text", "json", "graph6", "edges")]
+    runs += [("analyze", str(path), "--format", f)
+             for path in (g6, edges) for f in ("text", "json")]
+    digest = hashlib.sha256()
+    for argv in runs:
+        code, out, _ = run(capsys, *argv)
+        assert code == (2 if str(g6) in argv else 0)
+        digest.update(out.encode())
+    assert digest.hexdigest() == (
+        "398cd7db767dab3a9b7d40c1792c860a8c504e944497a0f6422416a7764a44f8"
+    )
+
+
 def test_mine_emits_certs_then_summary(capsys):
     code, out, _ = run(capsys, "mine", "--class", "threshold", "--max-n", "4",
                        "--jobs", "1")
@@ -394,16 +425,25 @@ def test_refused_sweep_leaves_no_checkpoint(tmp_path, capsys, argv, bad):
     assert not ckpt.exists()
 
 
-@pytest.mark.parametrize("cls, limit", [("perfect", LOVASZ_MAX),
-                                        ("sum-perfect", DEFICIENCY_MAX)])
-def test_mine_source_beyond_scan_envelope(tmp_path, capsys, cls, limit):
-    # A source graph one vertex past the class's subset-scan envelope is
-    # refused, not scanned, even when --max-n admits its order.
+@pytest.mark.parametrize("cls", ["perfect", "sum-perfect"])
+def test_mine_source_beyond_scan_envelope(tmp_path, capsys, cls):
+    # A source graph one vertex past the subset-scan envelope is refused,
+    # not scanned, even when --max-n admits its order.
     src = tmp_path / "big.g6"
-    src.write_text(emit_graph6(cycle_graph(limit + 1)) + "\n")
-    code, out, err = run(capsys, "mine", "--class", cls, "--max-n", str(limit + 1),
+    src.write_text(emit_graph6(cycle_graph(SUBSET_MAX + 1)) + "\n")
+    code, out, err = run(capsys, "mine", "--class", cls, "--max-n", str(SUBSET_MAX + 1),
                          "--source", str(src))
-    assert code == 2 and out == "" and f"n <= {limit}" in err
+    assert code == 2 and out == "" and f"n <= {SUBSET_MAX}" in err
+
+
+def test_mine_perfect_source_of_seventeen_vertices(tmp_path, capsys):
+    # C5 plus 12 isolated vertices is not perfect, and not minimal either.
+    g = disjoint_union(cycle_graph(5), from_edge_list(12, []))
+    src = tmp_path / "c5k12.g6"
+    src.write_text(emit_graph6(g) + "\n")
+    code, out, err = run(capsys, "mine", "--class", "perfect", "--max-n", "17",
+                         "--jobs", "1", "--source", str(src))
+    assert code == 0 and not err and json.loads(out)["total"] == 0
 
 
 def test_mine_source_minimal_forbidden_graph_above_canon_limit(tmp_path, capsys):

@@ -8,7 +8,7 @@ from pathlib import Path
 from sumperfect.canon import CANON_MAX
 from sumperfect.enumeration import ENUM_MAX
 from sumperfect.graphs import MAX_VERTICES
-from sumperfect.invariants import DEFICIENCY_MAX, LOVASZ_MAX
+from sumperfect.invariants import SUBSET_MAX
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -16,9 +16,8 @@ EXPECTED = {
     "`Graph` capacity": f"{MAX_VERTICES} vertices",
     "`canonical_key` / `is_isomorphic`": str(CANON_MAX),
     "`contains_induced` pattern (any host)": str(CANON_MAX),
-    "`max_deficiency`, `is_sum_perfect_definitional`, `check_threshold_theorem`":
-        str(DEFICIENCY_MAX),
-    "`is_perfect_lovasz`": str(LOVASZ_MAX),
+    "`max_deficiency`, `is_sum_perfect_definitional`, `is_perfect_lovasz`, "
+    "`check_threshold_theorem`": str(SUBSET_MAX),
     "built-in enumeration": str(ENUM_MAX),
     "`mine`, `verify`, `count_hc_forbidden` max-n": f"1..{ENUM_MAX}",
 }

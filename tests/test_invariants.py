@@ -19,6 +19,7 @@ from sumperfect.graphs import (
     Graph,
     bipartition,
     complement,
+    complete_bipartite,
     complete_graph,
     cycle_graph,
     delete_vertex,
@@ -31,6 +32,7 @@ from sumperfect.graphs import (
 from sumperfect.invariants import (
     _PRODUCT_BOUND,
     _SUM_BOUND,
+    SUBSET_MAX,
     InvariantReport,
     StableCliquePair,
     _subset_dp,
@@ -129,8 +131,11 @@ def test_perfect_lovasz(c5):
     assert not is_perfect_lovasz(c5)
     assert is_perfect_lovasz(cycle_graph(6))
     assert is_perfect_lovasz(Graph(0, ()))
+    # The product bound shares the sum bound's envelope.
+    assert not is_perfect_lovasz(cycle_graph(17))
+    assert is_perfect_lovasz(complete_bipartite(10, 10))
     with pytest.raises(ValueError):
-        is_perfect_lovasz(Graph(17, (0,) * 17))
+        is_perfect_lovasz(Graph(SUBSET_MAX + 1, (0,) * (SUBSET_MAX + 1)))
 
 
 def test_validate_pair(c5):

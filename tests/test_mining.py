@@ -405,6 +405,33 @@ def test_checkpoint_refuses_non_ascii_order_keys(tmp_path):
     assert path.read_bytes() == before
 
 
+@pytest.mark.parametrize("edit", [
+    lambda r: r[0].update({"3": 5}),  # an order below the root order
+    lambda r: r[0].update({"8": 1}),  # an order above the level
+    lambda r: r[0].update({"6": 0}),  # the root not visited
+    lambda r: r[0].update({"6": 2}),  # two roots
+    lambda r: r[0].pop("6"),
+    lambda r: r[0].update({"06": r[0].pop("6")}),  # not the plain spelling
+    lambda r: r[0].update({"7": 0}),
+    lambda r: r.__setitem__(2, -40),
+    lambda r: r.__setitem__(2, sum(r[0].values()) + 1),  # more scans than graphs
+], ids=["below-roots", "above-level", "root-0", "root-2", "no-root", "06",
+        "count-0", "bscans-negative", "bscans-above-visited"])
+def test_checkpoint_refuses_records_outside_the_sweep(tmp_path, edit):
+    # Each record is well typed, but no subtree of this sweep can give it;
+    # resumed, it would change the counts and still report PASS.
+    path = tmp_path / "conj.ckpt"
+    verify_conjecture(7, checkpoint=str(path), jobs=1)
+    header, first, *rest = path.read_text().splitlines(keepends=True)
+    record = json.loads(first)
+    edit(record)
+    path.write_text(header + json.dumps(record) + "\n" + "".join(rest))
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="not a readable checkpoint journal"):
+        verify_conjecture(7, checkpoint=str(path), jobs=1)
+    assert path.read_bytes() == before
+
+
 def test_checkpoint_rejects_mismatched_params(tmp_path):
     path = tmp_path / "mine.ckpt"
     mine_forbidden("sum-perfect", 5, checkpoint=str(path))

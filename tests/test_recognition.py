@@ -17,8 +17,7 @@ from sumperfect.graphs import (
 )
 from sumperfect.induced import embedding_is_valid
 from sumperfect.invariants import (
-    DEFICIENCY_MAX,
-    LOVASZ_MAX,
+    SUBSET_MAX,
     StableCliquePair,
     is_sum_perfect_definitional,
     validate_pair,
@@ -147,10 +146,10 @@ def test_is_apex_threshold_examples(two_k3):
 def test_check_threshold_theorem_examples():
     assert check_threshold_theorem(complete_graph(1))
     assert not check_threshold_theorem(path_graph(4))
-    # The bound is the sum-bound subset scan's 20, not is_perfect_lovasz's 16.
-    assert check_threshold_theorem(from_edge_list(LOVASZ_MAX + 1, []))
-    with pytest.raises(ValueError, match=f"n <= {DEFICIENCY_MAX}"):
-        check_threshold_theorem(from_edge_list(DEFICIENCY_MAX + 1, []))
+    # The bound is the subset scan's.
+    assert check_threshold_theorem(from_edge_list(SUBSET_MAX, []))
+    with pytest.raises(ValueError, match=f"n <= {SUBSET_MAX}"):
+        check_threshold_theorem(from_edge_list(SUBSET_MAX + 1, []))
 
 
 def test_threshold_theorem_agreement(small_corpus):
