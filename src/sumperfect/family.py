@@ -3,9 +3,9 @@
 Members 1..13 and 26 are fixed edge lists (member 1 on 5 vertices, members
 2..13 the bipartite 6-vertex graphs with a perfect matching, member 26 on 7
 vertices); members 14..25 are the complements of 2..13 and member 27 is the
-complement of 26. enumerate_bipartite_pm6 regenerates the 6-vertex layer
-independently so a transcription slip and a generation slip would have to
-coincide to go unnoticed.
+complement of 26. enumerate_bipartite_pm6 regenerates the 6-vertex layer by
+has_b_copy's structural test, apart from the edge lists, so a transcription
+slip and a generation slip would have to coincide to go unnoticed.
 """
 
 from __future__ import annotations
@@ -14,20 +14,20 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .canon import canonical_key
+from .enumeration import graphs_of_order
 from .graphs import (
     Graph,
-    bipartition,
     complement,
     delete_vertex,
     from_edge_list,
     is_connected,
+    vertices_of,
 )
 from .induced import PatternSet
 from .invariants import (
     clique_number,
     deficit,
     is_sum_perfect_definitional,
-    matching_number,
     stability_number,
 )
 
@@ -116,30 +116,37 @@ def build_conjecture_family() -> tuple[FamilyMember, ...]:
     return build_family().members[1:25]
 
 
-def enumerate_bipartite_pm6() -> list[Graph]:
-    """All bipartite 6-vertex graphs with a perfect matching, up to isomorphism.
+def _matched_triples(adj: tuple[int, ...]) -> bool:
+    """True iff rows adj hold stable triples {s1, s2, s3} and {t1, t2, t3} with
+    each s_i ~ t_i, i.e. an induced bipartite 6-vertex graph with a perfect
+    matching: s3 is off N[s1] | N[s2] (the set A), t3 a neighbour of A off
+    N[t1] | N[t2], and the six are then distinct. O(n^2 d^2) mask steps."""
+    n = len(adj)
+    for s1 in range(n):
+        for s2 in range(s1 + 1, n):
+            if adj[s1] >> s2 & 1:
+                continue
+            reach = 0  # the neighbours of A
+            for a in vertices_of((1 << n) - 1 & ~(adj[s1] | adj[s2] | 1 << s1 | 1 << s2)):
+                reach |= adj[a]
+            for t1 in vertices_of(adj[s1]):
+                near = adj[t1] | 1 << t1
+                for t2 in vertices_of(adj[s2] & ~near):
+                    if reach & ~(near | adj[t2] | 1 << t2):
+                        return True
+    return False
 
-    Starts from the perfect matching on parts {0,1,2}/{3,4,5} and adds every
-    subset of the six remaining cross edges, deduplicating by canonical key.
-    Each survivor is verified bipartite with matching number 3.
-    """
-    base = ((0, 3), (1, 4), (2, 5))
-    extra = ((0, 4), (0, 5), (1, 3), (1, 5), (2, 3), (2, 4))
-    seen: dict[bytes, Graph] = {}
-    for bits in range(1 << len(extra)):
-        edges = list(base)
-        for i, e in enumerate(extra):
-            if (bits >> i) & 1:
-                edges.append(e)
-        g = from_edge_list(6, edges)
-        key = canonical_key(g)
-        if key not in seen:
-            seen[key] = g
-    out = [seen[k] for k in sorted(seen)]
-    for g in out:
-        if bipartition(g) is None or matching_number(g) != 3:
-            raise AssertionError("generated a non-bipartite or non-PM graph")
-    return out
+
+def has_b_copy(g: Graph) -> bool:
+    """True iff g holds an induced copy of a member 2..25: matched triples in g
+    (members 2..13) or in its complement (members 14..25)."""
+    return _matched_triples(g.adj) or _matched_triples(complement(g).adj)
+
+
+def enumerate_bipartite_pm6() -> list[Graph]:
+    """All bipartite 6-vertex graphs with a perfect matching, up to isomorphism:
+    the level-6 graphs with matched triples, in level order and labelling."""
+    return [g for g in graphs_of_order(6) if _matched_triples(g.adj)]
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,6 @@ import itertools
 import json
 import multiprocessing
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .canon import canonical_key, check_canon_order
@@ -53,10 +52,9 @@ from .enumeration import (
     children_of,
     descendants,
 )
-from .family import build_conjecture_family, build_family
+from .family import build_family, has_b_copy
 from .graph6 import _decimal, emit_graph6, parse_graph6
 from .graphs import Graph, delete_vertex
-from .induced import PatternSet
 from .invariants import (
     _PRODUCT_BOUND,
     _SUM_BOUND,
@@ -146,17 +144,12 @@ def _verdict(form: _SubsetForm | None, fn: Callable[[Graph], bool], g: Graph,
 
 # Conjecture machinery ---------------------------------------------------------
 
-@lru_cache(maxsize=1)
-def _b_patterns():
-    return PatternSet([(m.index, m.graph) for m in build_conjecture_family()])
-
-
 def _conjecture_visit(g: Graph) -> tuple[bool, str | None]:
-    """(needed B-scan, counterexample graph6 or None) for one graph."""
+    """(needed B-check, counterexample graph6 or None) for one graph."""
     d = g.n - stability_number(g) - clique_number(g)
     if d <= 1:
         return False, None
-    if _b_patterns().contains_any(g):
+    if has_b_copy(g):
         return True, None
     return True, emit_graph6(g)
 

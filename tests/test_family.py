@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import random
+
 import sumperfect.family as family
 from sumperfect.canon import canonical_key, is_isomorphic
+from sumperfect.enumeration import graphs_of_order
 from sumperfect.family import (
     DISCONNECTED_INDICES,
     FamilyMember,
@@ -9,6 +12,7 @@ from sumperfect.family import (
     build_conjecture_family,
     build_family,
     enumerate_bipartite_pm6,
+    has_b_copy,
     verify_family,
 )
 from sumperfect.graphs import (
@@ -19,6 +23,7 @@ from sumperfect.graphs import (
     from_edge_list,
     is_connected,
 )
+from sumperfect.induced import PatternSet
 from sumperfect.invariants import (
     clique_number,
     matching_number,
@@ -88,8 +93,33 @@ def test_enumerate_bipartite_pm6():
     fam = build_family()
     assert {canonical_key(g) for g in got} == {fam.member(i).key for i in range(2, 14)}
     for g in got:
+        assert bipartition(g) is not None
         assert matching_number(g) == 3
         assert clique_number(g) == 2
+
+
+def test_has_b_copy_agrees_with_the_pattern_index():
+    # PatternSet over members 2..25 is the reference: every graph with
+    # n <= 8, then seeded G(n, p) graphs with n = 9..16 (both verdicts occur).
+    reference = PatternSet([(m.index, m.graph) for m in build_conjecture_family()])
+    rng = random.Random(26)
+    hosts = [g for n in range(1, 9) for g in graphs_of_order(n)]
+    for _ in range(600):
+        n, p = rng.randint(9, 16), rng.random()
+        hosts.append(from_edge_list(
+            n, [(u, v) for v in range(n) for u in range(v) if rng.random() < p]
+        ))
+    assert [g for g in hosts if has_b_copy(g) != reference.contains_any(g)] == []
+
+
+def test_matched_triples_finds_each_half_of_b_on_its_own_side():
+    # Members 2..13 are found in the graph, 14..25 only in its complement, so
+    # a check that drops either half misses twelve members.
+    fam = build_family()
+    for i in range(2, 26):
+        g = fam.member(i).graph
+        assert family._matched_triples(g.adj) == (i <= 13)
+        assert family._matched_triples(complement(g).adj) == (i >= 14)
 
 
 def test_disconnected_members(three_k2, two_k3):

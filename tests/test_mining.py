@@ -8,7 +8,7 @@ import pytest
 import sumperfect.mining as mining
 from sumperfect.canon import canonical_key
 from sumperfect.enumeration import ENUM_MAX, descendants, graphs_of_order
-from sumperfect.family import build_family
+from sumperfect.family import build_family, has_b_copy
 from sumperfect.graph6 import emit_graph6, parse_graph6
 from sumperfect.graphs import (
     Graph,
@@ -100,10 +100,21 @@ def test_one_pass_verdict_matches_deletion_definition(small_corpus, name):
 
 
 def test_mine_threshold_obstructions(two_k2):
-    res = mine_forbidden("threshold", 4)
+    # Chvatal-Hammer: P4, C4 and 2K2 at every max-n.
     expect = {canonical_key(g) for g in (two_k2, cycle_graph(4), path_graph(4))}
+    for max_n in (4, 7):
+        res = mine_forbidden("threshold", max_n)
+        assert {k for k, _ in res.certificates} == expect
+        assert res.counts_by_order == {4: 3}
+
+
+def test_mine_perfect_obstructions_are_the_odd_holes_and_antiholes():
+    # Strong perfect graph theorem: to n = 8 these are C5, C7 and co-C7.
+    res = mine_forbidden("perfect", 8)
+    c7 = cycle_graph(7)
+    expect = {canonical_key(g) for g in (cycle_graph(5), c7, complement(c7))}
     assert {k for k, _ in res.certificates} == expect
-    assert res.counts_by_order == {4: 3}
+    assert res.counts_by_order == {5: 1, 7: 2}
 
 
 def test_mine_sum_perfect_to_5(c5):
@@ -155,11 +166,8 @@ def test_deficiency_one_counts_by_order_to_8():
     pytest.param(
         is_sum_perfect_definitional, [1, 2, 4, 11, 33, 124, 508, 2185], id="sum-perfect"
     ),
-    # B-free 2,715 at n = 8 would add about 4 s.
     pytest.param(
-        lambda g: not mining._b_patterns().contains_any(g),
-        [1, 2, 4, 11, 34, 132, 580],
-        id="B-free",
+        lambda g: not has_b_copy(g), [1, 2, 4, 11, 34, 132, 580, 2715], id="B-free"
     ),
 ])
 def test_class_sizes_by_order(member, counts):
@@ -587,9 +595,7 @@ def test_verify_conjecture_small():
     assert rep.visited_by_order == {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
     # C5 is B-free with deficit exactly 1: tight, but not a counterexample.
     assert deficit(cycle_graph(5)) == 1
-    from sumperfect.mining import _b_patterns
-
-    assert not _b_patterns().contains_any(cycle_graph(5))
+    assert not has_b_copy(cycle_graph(5))
 
 
 def test_conjecture_visit_scans_deficient_graphs():
@@ -601,12 +607,9 @@ def test_conjecture_visit_scans_deficient_graphs():
 
 
 def test_verify_conjecture_flags_counterexample(monkeypatch):
-    # No genuine counterexample is known, so shrink the obstruction set to
-    # something C7 avoids and check the failure path end to end.
-    from sumperfect.induced import PatternSet
-
-    fake = PatternSet([(99, complete_graph(6))])
-    monkeypatch.setattr(mining, "_b_patterns", lambda: fake)
+    # No genuine counterexample is known, so let the B-check find no copy in
+    # any graph and check the failure path end to end.
+    monkeypatch.setattr(mining, "has_b_copy", lambda g: False)
     rep = verify_conjecture(7)
     assert not rep.passed
     keys = {canonical_key(parse_graph6(line)) for line in rep.counterexamples}
