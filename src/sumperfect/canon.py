@@ -157,17 +157,17 @@ def canonical_form(g: Graph) -> tuple[tuple[int, ...], bytes, list[tuple[int, ..
                     auts.append(tau)
             return
 
-        # Explore each orbit at its least vertex (the first one always is);
-        # the orbits change only when a leaf below adds an automorphism.
+        # Explore each orbit at its least vertex; the orbits change only when a
+        # leaf below adds an automorphism. target[0] is always explored, as the
+        # automorphisms fixing the path keep every cell and it is its cell's least.
         mins: list[int] = []
         known = -1
         for v in target:
-            if v != target[0]:
-                if known != len(auts):
-                    known = len(auts)
-                    mins = orbit_mins(n, [a for a in auts if all(a[p] == p for p in path)])
-                if mins[v] != v:
-                    continue
+            if known != len(auts):
+                known = len(auts)
+                mins = orbit_mins(n, [a for a in auts if all(a[p] == p for p in path)])
+            if mins[v] != v:
+                continue
             split = [2 * c + 1 for c in colors]
             split[v] = 2 * colors[v]
             rec(_refine(n, adj, split), path + (v,))

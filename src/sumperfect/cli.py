@@ -25,6 +25,7 @@ from typing import Iterator
 from .family import build_conjecture_family, build_family
 from .graph6 import FormatError, emit_edge_list, emit_graph6, parse_edge_list, parse_graph6
 from .graphs import Graph, vertices_of
+from .induced import PatternHit
 from .invariants import StableCliquePair, compute_report
 from .mining import (
     mine_forbidden,
@@ -33,7 +34,6 @@ from .mining import (
     verify_threshold_equivalence,
 )
 from .recognition import (
-    ForbiddenCopy,
     find_forbidden_copies,
     is_apex_threshold,
     is_split,
@@ -95,10 +95,11 @@ def _read_graphs(path: str, fmt: str, failed: list[str]) -> Iterator[tuple[str, 
             text.close()
 
 
-def _witness(ev: ForbiddenCopy | StableCliquePair) -> tuple:
+def _witness(ev: PatternHit | StableCliquePair) -> tuple:
     """(kind, vertex content, forbidden index, forbidden name) of the evidence."""
-    if isinstance(ev, ForbiddenCopy):
-        return "forbidden_copy", {"vertices": list(ev.embedding.mapping)}, ev.index, ev.name
+    if isinstance(ev, PatternHit):
+        copy = {"vertices": list(ev.embedding.mapping)}
+        return "forbidden_copy", copy, ev.label.index, ev.label.name
     pair = {"stable": list(vertices_of(ev.stable)), "clique": list(vertices_of(ev.clique))}
     return "stable_clique_pair", pair, None, None
 
@@ -182,8 +183,8 @@ def cmd_recognize(args) -> int:
         if args.all_witnesses and not verdict:
             rec["all_copies"] = [
                 {
-                    "forbidden_index": c.index,
-                    "forbidden_name": c.name,
+                    "forbidden_index": c.label.index,
+                    "forbidden_name": c.label.name,
                     "vertices": list(c.embedding.mapping),
                 }
                 for c in find_forbidden_copies(g, limit=None)

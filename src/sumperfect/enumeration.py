@@ -24,7 +24,7 @@ from typing import Iterator
 # canon.keys_per_child and graphs.calls.enumeration. They feed nothing:
 # children_of labels through canonical_form and calls neither, so those read 0.
 from .canon import canonical_form, canonical_key, orbit_mins
-from .graphs import Graph, induced_subgraph
+from .graphs import Graph, induced_subgraph, mask_of
 
 ENUM_MAX = 10
 # Changes whenever a level is listed in another order; checkpoint journals
@@ -56,10 +56,7 @@ def children_of(parent: Graph) -> list[Graph]:
     pdeg = [a.bit_count() for a in padj]
     vbit = 1 << pn
     min_pdeg = min(pdeg) if pn else 0
-    min_verts = 0
-    for u in range(pn):
-        if pdeg[u] == min_pdeg:
-            min_verts |= 1 << u
+    min_verts = mask_of(u for u in range(pn) if pdeg[u] == min_pdeg)
 
     auts = canonical_form(parent)[2]
     mins = orbit_mins(1 << pn, [_subset_images(a) for a in auts])
@@ -115,10 +112,9 @@ def children_of(parent: Graph) -> list[Graph]:
                 # first canonical vertex, which canon takes from the vertices
                 # of least (degree, profile): the new vertex and its ties.
                 order, _, child_auts = canonical_form(child)
-                if order[0] != pn:
-                    mins = orbit_mins(pn + 1, child_auts)
-                    if mins[order[0]] != mins[pn]:
-                        continue
+                mins = orbit_mins(pn + 1, child_auts)
+                if mins[order[0]] != mins[pn]:
+                    continue
         out.append(child)
 
     return out

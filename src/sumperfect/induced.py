@@ -19,7 +19,8 @@ helper that indexes the patterns and also gives triangle_count. Only a
 subset whose shape matches some pattern is built as a Graph and canonically
 labelled, and its key is looked up among the pattern keys. The pruning only
 skips subsets that no pattern can match, so hits come out in exactly the
-order of a plain lexicographic scan.
+order of a plain lexicographic scan. A hit is only the caller's label for
+the pattern and an embedding, whose image is the copy's vertex set.
 """
 
 from __future__ import annotations
@@ -87,9 +88,9 @@ def _embedding_from_orders(
 
 @dataclass(frozen=True)
 class PatternHit:
+    """A copy of the pattern labelled `label`, on the vertices embedding.image()."""
+
     label: object
-    pattern: Graph
-    subset: tuple[int, ...]
     embedding: Embedding
 
 
@@ -101,12 +102,12 @@ class _Size:
         self.shapes = {_shape(g.adj, g.vertex_mask()) for _, g in patterns}
         self.omega = max(clique_number(g) for _, g in patterns)
         self.alpha = max(stability_number(g) for _, g in patterns)
-        self.keys: dict[bytes, tuple] = {}
+        self.keys: dict[bytes, tuple[object, tuple[int, ...]]] = {}
         for label, g in patterns:
             order, key = canonical_labeling(g)
             if key in self.keys:
                 raise ValueError(f"duplicate pattern {label!r} (isomorphic twin)")
-            self.keys[key] = (label, g, order)
+            self.keys[key] = (label, order)
 
 
 def _shaped_subsets(
@@ -165,10 +166,9 @@ class PatternSet:
                 hit = level.keys.get(sub_key)
                 if hit is None:
                     continue
-                label, pat, pat_order = hit
-                subset = vertices_of(mask)
+                label, pat_order = hit
                 yield PatternHit(
-                    label, pat, subset, _embedding_from_orders(subset, sub_order, pat_order)
+                    label, _embedding_from_orders(vertices_of(mask), sub_order, pat_order)
                 )
 
     def contains_any(self, host: Graph) -> bool:

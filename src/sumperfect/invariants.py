@@ -69,32 +69,24 @@ def clique_number(g: Graph) -> int:
     return _clique_bb(g.adj, g.vertex_mask())
 
 
-def _lex_min_optimum(n: int, rows: tuple[int, ...], total: int) -> int:
-    """Lexicographically smallest maximum clique w.r.t. `rows` adjacency."""
-    avail = (1 << n) - 1
-    chosen = 0
-    remaining = total
-    for v in range(n):
-        bit = 1 << v
-        if not avail & bit:
-            continue
-        shrunk = avail & rows[v]
-        if _clique_bb(rows, shrunk) == remaining - 1:
-            chosen |= bit
-            avail = shrunk
-            remaining -= 1
-    return chosen
-
-
 def max_stable_set(g: Graph) -> int:
     """Lexicographically smallest maximum stable set, as a bitmask."""
     return max_clique(complement(g))
 
 
 def max_clique(g: Graph) -> int:
-    """Lexicographically smallest maximum clique, as a bitmask."""
-    total = _clique_bb(g.adj, g.vertex_mask())
-    return _lex_min_optimum(g.n, g.adj, total)
+    """Lexicographically smallest maximum clique, as a bitmask: each vertex
+    in turn is taken iff a maximum clique remains among its neighbours."""
+    adj = g.adj
+    avail = g.vertex_mask()
+    remaining = _clique_bb(adj, avail)
+    chosen = 0
+    for v in range(g.n):
+        if (avail >> v) & 1 and _clique_bb(adj, avail & adj[v]) == remaining - 1:
+            chosen |= 1 << v
+            avail &= adj[v]
+            remaining -= 1
+    return chosen
 
 
 def vertex_cover_number(g: Graph) -> int:

@@ -4,13 +4,13 @@ Sum-perfection is decided by searching for any of the 27 forbidden graphs as
 an induced subgraph. The members have 5 to 7 vertices, so the search ranges
 over the O(n^7) vertex subsets of those sizes (each size searched once for
 all its members together, with pruning that skips subsets no member can
-match), not over all 2^n induced subgraphs. Threshold, split, and
-apex-threshold recognition are polynomial.
+match), not over all 2^n induced subgraphs. The witness of a negative
+verdict is the scan's own PatternHit, whose label is the FamilyMember
+copied. Threshold, split, and apex-threshold recognition are polynomial.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 
@@ -23,7 +23,7 @@ from .graphs import (
     mask_of,
     path_graph,
 )
-from .induced import Embedding, PatternSet
+from .induced import PatternHit, PatternSet
 from .invariants import (
     StableCliquePair,
     has_deficiency_above,
@@ -33,33 +33,21 @@ from .invariants import (
 )
 
 
-@dataclass(frozen=True)
-class ForbiddenCopy:
-    """An induced copy of family member `index` inside the examined graph."""
-
-    index: int
-    name: str
-    embedding: Embedding
-
-
 @lru_cache(maxsize=1)
 def _family_patterns() -> PatternSet:
-    return PatternSet([(m.index, m.graph) for m in build_family()])
+    return PatternSet([(m, m.graph) for m in build_family()])
 
 
-def find_forbidden_copies(g: Graph, limit: int | None = 1) -> list[ForbiddenCopy]:
-    """Induced copies of family members, smallest patterns first.
+def find_forbidden_copies(g: Graph, limit: int | None = 1) -> list[PatternHit]:
+    """Induced copies of family members, smallest patterns first; each hit's
+    label is the FamilyMember it copies.
 
     limit=1 stops at the first copy; limit=None lists every copy.
     """
-    fam = build_family()
-    return [
-        ForbiddenCopy(hit.label, fam.member(hit.label).name, hit.embedding)
-        for hit in islice(_family_patterns().scan(g), limit)
-    ]
+    return list(islice(_family_patterns().scan(g), limit))
 
 
-def is_sum_perfect(g: Graph) -> tuple[bool, ForbiddenCopy | StableCliquePair]:
+def is_sum_perfect(g: Graph) -> tuple[bool, PatternHit | StableCliquePair]:
     """(verdict, evidence): a forbidden copy, or a stable set/clique pair
     certifying alpha + omega >= n for the whole graph."""
     copies = find_forbidden_copies(g, limit=1)

@@ -85,12 +85,11 @@ def test_embedding_image_induces_pattern(small_corpus):
 
 
 def test_pattern_set_scans_sizes_ascending(c5):
-    ps = PatternSet([("p3", path_graph(3)), ("p4", path_graph(4))])
-    hits = list(ps.scan(c5))
+    patterns = {"p3": path_graph(3), "p4": path_graph(4)}
+    hits = list(PatternSet(list(patterns.items())).scan(c5))
     assert hits[0].label == "p3"
-    assert all(h.subset == tuple(sorted(h.subset)) for h in hits)
     for h in hits:
-        assert embedding_is_valid(c5, h.pattern, h.embedding)
+        assert embedding_is_valid(c5, patterns[h.label], h.embedding)
 
 
 def test_pattern_set_rejects_isomorphic_duplicates():
@@ -132,10 +131,10 @@ def _pattern_sets():
 
 def _assert_listing_matches(ps, patterns, host):
     hits = list(ps.scan(host))
-    assert [(h.label, h.subset) for h in hits] == brute_scan(host, patterns)
+    assert [(h.label, h.embedding.image()) for h in hits] == brute_scan(host, patterns)
+    by_label = dict(patterns)
     for h in hits:
-        assert embedding_is_valid(host, h.pattern, h.embedding)
-        assert h.embedding.image() == h.subset
+        assert embedding_is_valid(host, by_label[h.label], h.embedding)
 
 
 @pytest.mark.parametrize("name", sorted(_pattern_sets()))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 
@@ -155,6 +156,20 @@ def test_jobs_determinism():
 
 def test_deficiency_one_counts_by_order_to_8():
     assert mine_forbidden("deficiency:1", 8).counts_by_order == {7: 18, 8: 1777}
+
+
+def test_mined_certificates_to_8_are_pinned_by_canonical_key():
+    # sha256 of the sorted certificate keys, concatenated. A pruned or
+    # halved sweep must find the same obstructions, however labelled.
+    pinned = {
+        "sum-perfect": "78a1f4d2f5c28d4b42b6a806e9c97eaf1d8863b96b56c6ec4b33e3419555c654",
+        "perfect": "bad1decfed4bd0c3e32c2ebea2ad2ad4e34f80f77860dd8b1e6def852618445d",
+        "threshold": "b9ca7b437660bad973d5f7e4f90cc63908f86738f9351b8d6ac0a90b9b60bfa5",
+        "deficiency:1": "527b4a92396eba92d5a71bf14dfeddb434fae82a9846ff7bf82a86c9ac7dfa6a",
+    }
+    for name, digest in pinned.items():
+        keys = sorted(k for k, _ in mine_forbidden(name, 8).certificates)
+        assert hashlib.sha256(b"".join(keys)).hexdigest() == digest, name
 
 
 @pytest.mark.parametrize("member, counts", [

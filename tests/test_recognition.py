@@ -15,7 +15,8 @@ from sumperfect.graphs import (
     path_graph,
     star_graph,
 )
-from sumperfect.induced import embedding_is_valid
+from sumperfect.family import build_family
+from sumperfect.induced import PatternHit, embedding_is_valid
 from sumperfect.invariants import (
     SUBSET_MAX,
     StableCliquePair,
@@ -23,7 +24,6 @@ from sumperfect.invariants import (
     validate_pair,
 )
 from sumperfect.recognition import (
-    ForbiddenCopy,
     check_threshold_theorem,
     find_forbidden_copies,
     is_apex_threshold,
@@ -37,8 +37,8 @@ from sumperfect.recognition import (
 def test_c5_rejected_with_identity_copy(c5):
     verdict, ev = is_sum_perfect(c5)
     assert not verdict
-    assert isinstance(ev, ForbiddenCopy)
-    assert ev.index == 1 and ev.name == "C5"
+    assert isinstance(ev, PatternHit)
+    assert ev.label.index == 1 and ev.label.name == "C5"
     assert ev.embedding.mapping == (0, 1, 2, 3, 4)
 
 
@@ -71,22 +71,31 @@ def test_split_graph_20_vertices_cross_check():
 
 
 def test_forbidden_copy_revalidates(small_corpus):
-    from sumperfect.family import build_family
-
     fam = build_family()
     for g in small_corpus[6][:80] + small_corpus[7][:80]:
         copies = find_forbidden_copies(g, limit=1)
         if copies:
             c = copies[0]
-            assert embedding_is_valid(g, fam.member(c.index).graph, c.embedding)
+            assert embedding_is_valid(g, fam.member(c.label.index).graph, c.embedding)
+
+
+def test_every_copy_is_labelled_by_its_family_member(small_corpus):
+    fam = build_family()
+    found = 0
+    for g in [g for order in sorted(small_corpus) for g in small_corpus[order]]:
+        for c in find_forbidden_copies(g, limit=None):
+            assert c.label is fam.member(c.label.index)
+            assert embedding_is_valid(g, c.label.graph, c.embedding)
+            found += 1
+    assert found
 
 
 def test_all_witnesses_listing(c5):
     c6 = cycle_graph(6)
     copies = find_forbidden_copies(c6, limit=None)
     # C6 is itself forbidden (one copy) and contains no smaller member.
-    assert len(copies) == 1 and copies[0].index == 8
-    assert find_forbidden_copies(c5, limit=None)[0].index == 1
+    assert len(copies) == 1 and copies[0].label.index == 8
+    assert find_forbidden_copies(c5, limit=None)[0].label.index == 1
     # A host smaller than every member holds no copy.
     assert find_forbidden_copies(path_graph(4), limit=None) == []
 
