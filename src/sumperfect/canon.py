@@ -48,11 +48,15 @@ by degree, then by that profile, and individualisation keeps their order.
 
 There is one labelling path: `canonical_form` checks the n <= CANON_MAX
 envelope (with `check_canon_order`, which mining also calls before it
-keeps a certificate), runs the search, packs the key and returns the
-automorphisms; `canonical_labeling` and `canonical_key` are views of its result, and
-`is_isomorphic` compares two keys, so it too refuses n > CANON_MAX.
-`orbit_mins` turns a list of permutations into orbits, for the search's
-sibling pruning and for enumeration.
+keeps a certificate), refines the unit partition into the root colouring
+and hands it to `_search`, which packs the key and returns the
+automorphisms. Enumeration calls `_refine` and `_search` itself, so a child
+whose root colouring does not settle its acceptance is searched from that
+colouring without refining it again. `canonical_labeling` and
+`canonical_key` are views of `canonical_form`'s result, and `is_isomorphic`
+compares two keys, so it too refuses n > CANON_MAX. `orbit_mins` turns a
+list of permutations into orbits, for the search's sibling pruning and for
+enumeration.
 """
 
 from __future__ import annotations
@@ -116,8 +120,14 @@ def canonical_form(g: Graph) -> tuple[tuple[int, ...], bytes, list[tuple[int, ..
     """(order, key, auts): order[i] is the original vertex at canonical
     position i, key the canonical key, and auts non-identity automorphisms
     (aut[v] is the image of v) that generate the whole automorphism group."""
+    check_canon_order(g.n)
+    return _search(g, _refine(g.n, g.adj, [0] * g.n))
+
+
+def _search(g: Graph, root: list[int]) -> tuple[tuple[int, ...], bytes, list[tuple[int, ...]]]:
+    """canonical_form(g) searched from root, g's refinement of the unit
+    partition; g must be within the envelope."""
     n, adj = g.n, g.adj
-    check_canon_order(n)
     best_cols: tuple[int, ...] | None = None
     best_order: tuple[int, ...] | None = None
     auts: list[tuple[int, ...]] = []
@@ -159,20 +169,21 @@ def canonical_form(g: Graph) -> tuple[tuple[int, ...], bytes, list[tuple[int, ..
 
         # Explore each orbit at its least vertex; the orbits change only when a
         # leaf below adds an automorphism. target[0] is always explored, as the
-        # automorphisms fixing the path keep every cell and it is its cell's least.
-        mins: list[int] = []
+        # automorphisms fixing the path keep every cell and it is its cell's
+        # least, so the orbits are first computed for the second sibling.
         known = -1
-        for v in target:
-            if known != len(auts):
-                known = len(auts)
-                mins = orbit_mins(n, [a for a in auts if all(a[p] == p for p in path)])
-            if mins[v] != v:
-                continue
+        for i, v in enumerate(target):
+            if i:
+                if known != len(auts):
+                    known = len(auts)
+                    mins = orbit_mins(n, [a for a in auts if all(a[p] == p for p in path)])
+                if mins[v] != v:
+                    continue
             split = [2 * c + 1 for c in colors]
             split[v] = 2 * colors[v]
             rec(_refine(n, adj, split), path + (v,))
 
-    rec(_refine(n, adj, [0] * n), ())
+    rec(root, ())
     assert best_cols is not None and best_order is not None
     return best_order, bytes([n, *pack_upper_triangle((0, *best_cols), 8)]), auts
 

@@ -58,6 +58,7 @@ from .graphs import Graph, delete_vertex
 from .invariants import (
     _PRODUCT_BOUND,
     _SUM_BOUND,
+    _clique_bb,
     _subset_dp,
     clique_number,
     has_deficiency_above,
@@ -144,9 +145,27 @@ def _verdict(form: _SubsetForm | None, fn: Callable[[Graph], bool], g: Graph,
 
 # Conjecture machinery ---------------------------------------------------------
 
-def _conjecture_visit(g: Graph) -> tuple[bool, str | None]:
-    """(needed B-check, counterexample graph6 or None) for one graph."""
-    d = g.n - stability_number(g) - clique_number(g)
+def _conjecture_visit(g: Graph, last: dict | None = None) -> tuple[bool, str | None]:
+    """(needed B-check, counterexample graph6 or None) for one graph.
+
+    `last`, a caller-owned dict, keeps each order's last (adjacency, alpha,
+    omega). If g's vertices 0..n-2 induce the order n - 1 entry's graph (as
+    in _subset_dp's tables), alpha and omega extend that graph's through
+    vertex v = n - 1: omega(g) = max(omega(g - v), 1 + omega(N(v))), and
+    alpha likewise on v's non-neighbours."""
+    n, adj = g.n, g.adj
+    low = (1 << n >> 1) - 1  # the first n - 1 vertices
+    prev = last.get(n - 1) if last is not None else None
+    if prev is not None and prev[0] == tuple(row & low for row in adj[:-1]):
+        away = low & ~adj[-1]
+        comp = [low & ~row & ~(1 << u) for u, row in enumerate(adj[:-1])]
+        alpha = max(prev[1], 1 + _clique_bb(comp, away))
+        omega = max(prev[2], 1 + _clique_bb(adj, adj[-1]))
+    else:
+        alpha, omega = stability_number(g), clique_number(g)
+    if last is not None:
+        last[n] = (adj, alpha, omega)
+    d = n - alpha - omega
     if d <= 1:
         return False, None
     if has_b_copy(g):
@@ -183,8 +202,9 @@ def _conjecture_chunk(class_name: str, graphs: Iterable[Graph]) -> tuple[list[st
     """Counterexamples among graphs and the B-scans run; class_name is unused."""
     lines: list[str] = []
     bscans = 0
+    last: dict = {}  # each order's last alpha and omega, for graphs extending it
     for g in graphs:
-        scanned, cex = _conjecture_visit(g)
+        scanned, cex = _conjecture_visit(g, last)
         bscans += scanned
         if cex is not None:
             lines.append(cex)

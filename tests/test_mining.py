@@ -23,10 +23,12 @@ from sumperfect.graphs import (
     path_graph,
 )
 from sumperfect.invariants import (
+    clique_number,
     deficit,
     is_perfect_lovasz,
     is_sum_perfect_definitional,
     max_deficiency,
+    stability_number,
 )
 from sumperfect.mining import (
     count_hc_forbidden,
@@ -619,6 +621,29 @@ def test_conjecture_visit_scans_deficient_graphs():
     assert scanned and cex is None
     scanned, cex = mining._conjecture_visit(complete_graph(4))
     assert not scanned and cex is None
+
+
+def test_conjecture_visit_extends_alpha_and_omega_from_the_prefix():
+    # Along the enumerated walk each graph of order >= 2 follows its parent,
+    # so every alpha and omega past order 1 is extended, not recomputed.
+    last: dict = {}
+    for g in descendants(Graph(0, ()), 8):
+        if g.n > 1:
+            assert last[g.n - 1][0] == delete_vertex(g, g.n - 1).adj
+        mining._conjecture_visit(g, last)
+        assert last[g.n] == (g.adj, stability_number(g), clique_number(g))
+
+
+def test_shuffled_graphs_give_the_same_conjecture_chunk(monkeypatch):
+    # With no B-check passing, every graph of deficit >= 2 is a line, so a
+    # wrong alpha or omega taken from a non-prefix shows in the lines.
+    monkeypatch.setattr(mining, "has_b_copy", lambda g: False)
+    graphs = list(descendants(Graph(0, ()), 8))
+    expect = [emit_graph6(g) for g in graphs if deficit(g) >= 2]
+    assert mining._conjecture_chunk("sum-perfect", graphs) == (expect, 2449)
+    random.Random(8).shuffle(graphs)
+    lines, bscans = mining._conjecture_chunk("sum-perfect", graphs)
+    assert (sorted(lines), bscans) == (sorted(expect), 2449)
 
 
 def test_verify_conjecture_flags_counterexample(monkeypatch):
