@@ -26,7 +26,6 @@ from .graphs import (
 from .induced import PatternSet
 from .invariants import (
     clique_number,
-    deficit,
     is_sum_perfect_definitional,
     stability_number,
 )
@@ -194,18 +193,15 @@ def verify_family() -> FamilyReport:
     for m in fam:
         g = m.graph
         a, w = stability_number(g), clique_number(g)
+        deletions = [delete_vertex(g, v) for v in range(g.n)]
         checks.append(
             MemberChecks(
                 index=m.index,
                 name=m.name,
-                deficit_is_one=deficit(g) == 1,
-                deletions_sum_perfect=all(
-                    is_sum_perfect_definitional(delete_vertex(g, v)) for v in range(g.n)
-                ),
+                deficit_is_one=g.n - a - w == 1,
+                deletions_sum_perfect=all(map(is_sum_perfect_definitional, deletions)),
                 alpha_omega_deletion_invariant=all(
-                    stability_number(delete_vertex(g, v)) == a
-                    and clique_number(delete_vertex(g, v)) == w
-                    for v in range(g.n)
+                    stability_number(h) == a and clique_number(h) == w for h in deletions
                 ),
                 max_alpha_omega_le_3=max(a, w) <= 3,
             )

@@ -209,6 +209,16 @@ _SUM_BOUND = [[a + w for w in range(SUBSET_MAX + 1)] for a in range(SUBSET_MAX +
 _PRODUCT_BOUND = [[a * w for w in range(SUBSET_MAX + 1)] for a in range(SUBSET_MAX + 1)]
 
 
+def _stored_prefix(tables: dict, g: Graph) -> tuple | None:
+    """tables[n - 1] if it holds g's prefix, else None. Each order's entry is
+    the last record a walk kept for that order, adjacency rows first; it holds
+    g's prefix iff g's vertices 0..n-2 induce those rows, as a child's induce
+    its parent's when the child directly follows it in an enumerated walk."""
+    prev = tables.get(g.n - 1)
+    low = (1 << g.n >> 1) - 1
+    return prev if prev and prev[0] == tuple(row & low for row in g.adj[:-1]) else None
+
+
 def _subset_dp(g: Graph, bound: list[list[int]], stop: int | None,
                tables: dict | None = None) -> tuple[int, int | None]:
     """Max of |S| - bound[alpha(S)][omega(S)] over non-empty induced subgraphs.
@@ -228,10 +238,10 @@ def _subset_dp(g: Graph, bound: list[list[int]], stop: int | None,
     iff no other subset exceeds `stop`.
 
     `tables`, a caller-owned dict passed only with one bound and stop, keeps
-    the last scan of each order. If g's vertices 0..n-2 induce the order n - 1
-    entry's graph, the scan resumes from it and returns a fresh scan's result:
-    the masks below 2^(n-1), that prefix's subsets, come first in the same
-    order, so only those holding vertex n - 1 are new (none if it hit `stop`).
+    the last scan of each order. Where it holds g's prefix (_stored_prefix),
+    the scan resumes from it and returns a fresh scan's result: the masks
+    below 2^(n-1), that prefix's subsets, come first in the same order, so
+    only those holding vertex n - 1 are new (none if it hit `stop`).
 
     Raises ValueError if n > SUBSET_MAX: the one envelope check of every
     subset scan.
@@ -241,14 +251,10 @@ def _subset_dp(g: Graph, bound: list[list[int]], stop: int | None,
         return 0, None
     if n > SUBSET_MAX:
         raise ValueError(f"subgraph scan supports n <= {SUBSET_MAX}, got {n}")
-    half = 1 << (n - 1)
-    prev = tables.get(n - 1) if tables is not None else None
-    if prev is not None and prev[0] == tuple(row & (half - 1) for row in g.adj[:-1]):
-        _, at, wt, best, best_mask = prev
-        at, wt, first = at + [0] * half, wt + [0] * half, n - 1
-    else:
-        at, wt = [0] * (2 * half), [0] * (2 * half)
-        best, best_mask, first = -1, None, 0
+    prev = _stored_prefix(tables, g) if tables is not None else None
+    _, at, wt, best, best_mask = prev or ((), [0], [0], -1, None)  # else the empty set's
+    pad = [0] * ((1 << n) - len(at))
+    at, wt, first = at + pad, wt + pad, (n - 1 if prev else 0)
     for v, row in enumerate(g.adj[first:], first):
         if stop is not None and best > stop:
             break

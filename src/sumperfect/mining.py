@@ -7,10 +7,10 @@ proper induced subgraph satisfies it. For the classes the subset DP decides
 DP visits vertex subsets in ascending mask order and stops at the first that
 breaks the class, so g is a member iff there is none, and minimal forbidden
 iff it is the full vertex set, the largest mask, since any other lies inside
-some g - v. A graph whose vertices 0..n-2 induce the task's last graph of
-order n - 1 (in a walk, its parent) resumes that DP: the masks below 2^(n-1)
-come first and are the same. Threshold is decided by elimination instead: a
-non-member is minimal forbidden iff each one-vertex deletion is a member.
+some g - v. A graph resumes the DP of its prefix where the task stored it
+(see invariants._stored_prefix), and the conjecture sweep grows alpha and
+omega from the prefix's the same way. Threshold is decided by elimination
+instead: a non-member is minimal forbidden iff every g - v is a member.
 A sweep to max_n cuts the generation tree at the root order
 s = max(1, min(_SPLIT, max_n - 1)), as geng's res/mod splitting does: the
 main process visits orders 1..s-1 as one task over one walk, and each
@@ -54,11 +54,12 @@ from .enumeration import (
 )
 from .family import build_family, has_b_copy
 from .graph6 import _decimal, emit_graph6, parse_graph6
-from .graphs import Graph, delete_vertex
+from .graphs import Graph, complement, delete_vertex
 from .invariants import (
     _PRODUCT_BOUND,
     _SUM_BOUND,
     _clique_bb,
+    _stored_prefix,
     _subset_dp,
     clique_number,
     has_deficiency_above,
@@ -145,28 +146,20 @@ def _verdict(form: _SubsetForm | None, fn: Callable[[Graph], bool], g: Graph,
 
 # Conjecture machinery ---------------------------------------------------------
 
-def _conjecture_visit(g: Graph, last: dict | None = None) -> tuple[bool, str | None]:
-    """(needed B-check, counterexample graph6 or None) for one graph.
-
-    `last`, a caller-owned dict, keeps each order's last (adjacency, alpha,
-    omega). If g's vertices 0..n-2 induce the order n - 1 entry's graph (as
-    in _subset_dp's tables), alpha and omega extend that graph's through
-    vertex v = n - 1: omega(g) = max(omega(g - v), 1 + omega(N(v))), and
-    alpha likewise on v's non-neighbours."""
-    n, adj = g.n, g.adj
-    low = (1 << n >> 1) - 1  # the first n - 1 vertices
-    prev = last.get(n - 1) if last is not None else None
-    if prev is not None and prev[0] == tuple(row & low for row in adj[:-1]):
-        away = low & ~adj[-1]
-        comp = [low & ~row & ~(1 << u) for u, row in enumerate(adj[:-1])]
-        alpha = max(prev[1], 1 + _clique_bb(comp, away))
-        omega = max(prev[2], 1 + _clique_bb(adj, adj[-1]))
-    else:
-        alpha, omega = stability_number(g), clique_number(g)
-    if last is not None:
-        last[n] = (adj, alpha, omega)
-    d = n - alpha - omega
-    if d <= 1:
+def _conjecture_visit(g: Graph, last: dict) -> tuple[bool, str | None]:
+    """(needed B-check, counterexample graph6 or None) for one graph. `last`,
+    a caller-owned dict, keeps each order's last (adjacency, alpha, omega).
+    Both grow vertex by vertex as in _subset_dp (alpha as the complement's
+    omega), from the stored prefix's (_stored_prefix) else from vertex 0."""
+    n, adj, co = g.n, g.adj, complement(g).adj
+    prev = _stored_prefix(last, g)
+    first, alpha, omega = (n - 1, prev[1], prev[2]) if prev is not None else (0, 0, 0)
+    for v in range(first, n):
+        below = (1 << v) - 1
+        alpha = max(alpha, 1 + _clique_bb(co, co[v] & below))
+        omega = max(omega, 1 + _clique_bb(adj, adj[v] & below))
+    last[n] = (adj, alpha, omega)
+    if n - alpha - omega <= 1:
         return False, None
     if has_b_copy(g):
         return True, None

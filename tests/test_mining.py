@@ -617,10 +617,33 @@ def test_verify_conjecture_small():
 
 def test_conjecture_visit_scans_deficient_graphs():
     # C7 has deficit 2 but contains P6, so the obstruction scan clears it.
-    scanned, cex = mining._conjecture_visit(cycle_graph(7))
+    scanned, cex = mining._conjecture_visit(cycle_graph(7), {})
     assert scanned and cex is None
-    scanned, cex = mining._conjecture_visit(complete_graph(4))
+    scanned, cex = mining._conjecture_visit(complete_graph(4), {})
     assert not scanned and cex is None
+
+
+def test_conjecture_visit_grows_alpha_and_omega_without_a_prefix(small_corpus):
+    # Every graph with n <= 7 and seeded G(n, p) graphs with n = 8..14, with
+    # nothing stored and after an order n - 1 entry that is not g's prefix
+    # (its complement's rows, from n = 3 on), whose impossible alpha and
+    # omega would show if the entry were used.
+    graphs = [g for n in range(1, 8) for g in small_corpus[n]]
+    rng = random.Random(30)
+    for _ in range(300):
+        n, p = rng.randint(8, 14), rng.random()
+        graphs.append(from_edge_list(
+            n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]))
+    for g in graphs:
+        expect = (g.adj, stability_number(g), clique_number(g))
+        last: dict = {}
+        mining._conjecture_visit(g, last)
+        assert last == {g.n: expect}
+        if g.n >= 3:
+            other = delete_vertex(complement(g), g.n - 1).adj
+            last = {g.n - 1: (other, g.n, g.n)}
+            mining._conjecture_visit(g, last)
+            assert last[g.n] == expect
 
 
 def test_conjecture_visit_extends_alpha_and_omega_from_the_prefix():
