@@ -7,11 +7,32 @@ with greedy-colouring upper bounds; subgraph-quantified checks use a
 subset-indexed dynamic program that tabulates alpha and omega for all 2^n
 induced subgraphs at once, short-circuiting as soon as a deficient subgraph
 appears.
+
+The DP keeps each of its alpha and omega tables as one int with one byte
+lane per vertex mask: lane i, bits 8i..8i+7, holds the value of the subset
+i. Vertex v adds the new half of a table, the 2^v masks S = R + v with R
+below v, in a few whole-int steps and no step per mask:
+- gather: the lanes of R minus v's neighbours (for alpha) and of R among
+  them (for omega), by copying the lower half of every block of 2^(u+1)
+  lanes over its upper half, once for each vertex u below v left out;
+- grow: alpha(S) = alpha(R) + [alpha(R minus v's neighbours) == alpha(R)],
+  a zero-lane test on the guard bit 7 of each lane, and omega likewise;
+- bound: 128 + |S| - bound(alpha(S), omega(S)) in each lane, from lanes
+  holding 128 + |S| and a lane-wise sum or shift-and-mask product;
+- first hit: the lowest lane that beats the best value so far keeps its
+  guard bit after subtracting best + 1 from every lane; repeated until one
+  beats the scan's stop or no lane is left.
+No lane carries into its guard bit or the next lane: a stable set and a
+clique share at most one vertex, so alpha(S) + omega(S) <= |S| + 1 <= 21,
+and alpha, omega, their sum and their product (at most 110) all stay below
+128, while 128 + |S| - bound stays between 38 and 148.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import lru_cache
+from typing import Callable
 
 from .graphs import Graph, complement, vertices_of
 
@@ -203,10 +224,47 @@ def deficit(g: Graph) -> int:
     return g.n - stability_number(g) - clique_number(g)
 
 
-# Bounds that the subset DP compares |S| against, indexed [alpha(S)][omega(S)]
-# for graphs of up to SUBSET_MAX vertices.
-_SUM_BOUND = [[a + w for w in range(SUBSET_MAX + 1)] for a in range(SUBSET_MAX + 1)]
-_PRODUCT_BOUND = [[a * w for w in range(SUBSET_MAX + 1)] for a in range(SUBSET_MAX + 1)]
+# Lane constants: the tables of up to _CACHED_LANES lanes (all of mining's)
+# keep theirs; a larger scan rebuilds each one where it is used, so a
+# 20-vertex scan holds no more than a few 2^19-lane ints at once.
+_CACHED_LANES = 1 << 10
+_NEXT = bytes(range(1, 256)) + b"\x00"  # bytes.translate table: b -> b + 1
+
+
+def _low_lanes(lanes: int, u: int) -> int:
+    """0xFF in each of `lanes` byte lanes whose index has bit u clear, else 0."""
+    half = 1 << u
+    return int.from_bytes((b"\xff" * half + bytes(half)) * (lanes >> u >> 1), "little")
+
+
+def _lanes(lanes: int) -> tuple[int, int, int]:
+    """(ones, guard, top) over `lanes` byte lanes: 1, 128, and 129 + |i| in
+    lane i, i.e. 128 + |S| for S = i plus the vertex v of lanes = 2^v."""
+    top = b"\x81"
+    while len(top) < lanes:
+        top += top.translate(_NEXT)
+    ones = int.from_bytes(b"\x01" * lanes, "little")
+    return ones, ones << 7, int.from_bytes(top, "little")
+
+
+@lru_cache(maxsize=None)
+def _cached_lanes(lanes: int) -> tuple[int, int, int, tuple[int, ...]]:
+    """_lanes(lanes) and every _low_lanes(lanes, u), kept for small tables."""
+    return (*_lanes(lanes), tuple(_low_lanes(lanes, u) for u in range(lanes.bit_length() - 1)))
+
+
+def _sum_bound(at: int, wt: int, ones: int) -> int:
+    """alpha + omega in every lane (at most |S| + 1 <= 21)."""
+    return at + wt
+
+
+def _product_bound(at: int, wt: int, ones: int) -> int:
+    """alpha * omega in every lane, one shifted omega per bit of alpha (< 32):
+    each term omega * 2^k, k a bit of alpha, and their sum stay <= 110."""
+    product = 0
+    for k in range(SUBSET_MAX.bit_length()):
+        product += (wt & (((at >> k) & ones) * 255)) << k
+    return product
 
 
 def _stored_prefix(tables: dict, g: Graph) -> tuple | None:
@@ -219,23 +277,27 @@ def _stored_prefix(tables: dict, g: Graph) -> tuple | None:
     return prev if prev and prev[0] == tuple(row & low for row in g.adj[:-1]) else None
 
 
-def _subset_dp(g: Graph, bound: list[list[int]], stop: int | None,
+def _subset_dp(g: Graph, bound: Callable[[int, int, int], int], stop: int | None,
                tables: dict | None = None) -> tuple[int, int | None]:
-    """Max of |S| - bound[alpha(S)][omega(S)] over non-empty induced subgraphs.
+    """Max of |S| - bound(alpha(S), omega(S)) over non-empty induced subgraphs.
 
-    Tabulates alpha and omega for every vertex subset bottom-up, growing each
-    subset S from S - v for its highest vertex v: alpha(S) is the larger of
-    alpha(S - v) and 1 + alpha(S minus v's neighbours), omega(S) of
-    omega(S - v) and 1 + omega(S among v's neighbours).
+    Tabulates alpha and omega for every vertex subset in byte lanes, one
+    vertex v at a time (module docstring): a subset S = R + v, R below v,
+    has alpha(S) the larger of alpha(R) and 1 + alpha(R minus v's
+    neighbours), i.e. alpha(R) + 1 iff the two are equal, since the second
+    is never larger; omega(S) likewise from omega(R among v's neighbours).
+    `bound(at, wt, ones)` returns the bound's lanes from the alpha and omega
+    lanes (_sum_bound, _product_bound).
 
-    Returns (value, mask). Subsets are visited in ascending mask order, and
+    Returns (value, mask). Subsets are taken in ascending mask order, and
     the mask kept is the first whose value exceeds both -1 and every earlier
-    value. So with `stop` None the scan covers every subset and reports the
-    smallest mask attaining the maximum (None if the maximum is -1). With
-    `stop` >= -1 it returns at the first, i.e. smallest, mask whose value
-    exceeds `stop`, and if none does it ends as with None. Mining relies on
-    this first hit: the full vertex set, the largest mask, is the first hit
-    iff no other subset exceeds `stop`.
+    value, found per new half as the module docstring's first hit. So with
+    `stop` None the scan covers every subset and reports the smallest mask
+    attaining the maximum (None if the maximum is -1). With `stop` >= -1 it
+    returns at the first, i.e. smallest, mask whose value exceeds `stop`,
+    and if none does it ends as with None. Mining relies on this first hit:
+    the full vertex set, the largest mask, is the first hit iff no other
+    subset exceeds `stop`.
 
     `tables`, a caller-owned dict passed only with one bound and stop, keeps
     the last scan of each order. Where it holds g's prefix (_stored_prefix),
@@ -252,30 +314,41 @@ def _subset_dp(g: Graph, bound: list[list[int]], stop: int | None,
     if n > SUBSET_MAX:
         raise ValueError(f"subgraph scan supports n <= {SUBSET_MAX}, got {n}")
     prev = _stored_prefix(tables, g) if tables is not None else None
-    _, at, wt, best, best_mask = prev or ((), [0], [0], -1, None)  # else the empty set's
-    pad = [0] * ((1 << n) - len(at))
-    at, wt, first = at + pad, wt + pad, (n - 1 if prev else 0)
+    _, at, wt, best, best_mask = prev or ((), 0, 0, -1, None)  # else the empty set's lane
+    first = n - 1 if prev else 0
     for v, row in enumerate(g.adj[first:], first):
         if stop is not None and best > stop:
             break
-        bit = 1 << v
-        away = ~row
-        for rest in range(bit):
-            s = rest | bit
-            a1 = at[rest]
-            a2 = at[rest & away] + 1
-            a = a1 if a1 >= a2 else a2
-            at[s] = a
-            w1 = wt[rest]
-            w2 = wt[rest & row] + 1
-            w = w1 if w1 >= w2 else w2
-            wt[s] = w
-            d = s.bit_count() - bound[a][w]
-            if d > best:
-                best = d
-                best_mask = s
-                if stop is not None and d > stop:
-                    break
+        lanes = 1 << v
+        if lanes <= _CACHED_LANES:
+            ones, guard, top, lows = _cached_lanes(lanes)
+        else:
+            (ones, guard, top), lows = _lanes(lanes), None
+        # Gather: a[R] = at[R minus v's neighbours], w[R] = wt[R among them].
+        a, w = at, wt
+        for u in range(v):
+            low = lows[u] if lows is not None else _low_lanes(lanes, u)
+            if row >> u & 1:
+                a &= low
+                a |= a << (8 << u)
+            else:
+                w &= low
+                w |= w << (8 << u)
+        # Grow: the guard bit of 128 - (at - a) survives iff that lane is 0.
+        a = at + (((guard - (at - a)) & guard) >> 7)
+        w = wt + (((guard - (wt - w)) & guard) >> 7)
+        at |= a << (8 << v)
+        wt |= w << (8 << v)
+        base = top - bound(a, w, ones)  # 128 + |S| - bound: 38..148 per lane
+        while True:
+            hits = (base - (best + 1) * ones) & guard
+            if not hits:
+                break
+            i = ((hits ^ (hits - 1)).bit_length() >> 3) - 1  # the lowest lane hit
+            best = ((base >> (i << 3)) & 255) - 128
+            best_mask = lanes | i
+            if stop is not None and best > stop:
+                break
     if tables is not None:
         tables[n] = (g.adj, at, wt, best, best_mask)
     return best, best_mask
@@ -283,12 +356,12 @@ def _subset_dp(g: Graph, bound: list[list[int]], stop: int | None,
 
 def max_deficiency(g: Graph) -> int:
     """Largest deficit over all non-empty induced subgraphs (0 for n = 0)."""
-    return _subset_dp(g, _SUM_BOUND, None)[0]
+    return _subset_dp(g, _sum_bound, None)[0]
 
 
 def has_deficiency_above(g: Graph, c: int) -> bool:
     """True iff some induced subgraph has deficit > c (early-exit scan)."""
-    return _subset_dp(g, _SUM_BOUND, c)[0] > c
+    return _subset_dp(g, _sum_bound, c)[0] > c
 
 
 def is_sum_perfect_definitional(g: Graph) -> bool:
@@ -298,7 +371,7 @@ def is_sum_perfect_definitional(g: Graph) -> bool:
 
 def is_perfect_lovasz(g: Graph) -> bool:
     """Every non-empty induced subgraph H satisfies alpha(H)*omega(H) >= |V(H)|."""
-    return _subset_dp(g, _PRODUCT_BOUND, 0)[0] <= 0
+    return _subset_dp(g, _product_bound, 0)[0] <= 0
 
 
 # Witness records -------------------------------------------------------------

@@ -56,11 +56,11 @@ from .family import build_family, has_b_copy
 from .graph6 import _decimal, emit_graph6, parse_graph6
 from .graphs import Graph, complement, delete_vertex
 from .invariants import (
-    _PRODUCT_BOUND,
-    _SUM_BOUND,
     _clique_bb,
+    _product_bound,
     _stored_prefix,
     _subset_dp,
+    _sum_bound,
     clique_number,
     has_deficiency_above,
     is_perfect_lovasz,
@@ -85,9 +85,9 @@ class ClassPredicate:
 
 class _SubsetForm(NamedTuple):
     """g is a member iff every non-empty induced subgraph S has
-    |S| - bound[alpha(S)][omega(S)] <= stop."""
+    |S| - bound(alpha(S), omega(S)) <= stop (bound in lanes, see _subset_dp)."""
 
-    bound: list[list[int]]
+    bound: Callable[[int, int, int], int]
     stop: int
 
 
@@ -96,9 +96,9 @@ def _resolve(name: str) -> tuple[Callable[[Graph], bool] | None, _SubsetForm | N
     if name == "threshold":
         return is_threshold, None
     if name == "sum-perfect":
-        return is_sum_perfect_definitional, _SubsetForm(_SUM_BOUND, 0)
+        return is_sum_perfect_definitional, _SubsetForm(_sum_bound, 0)
     if name == "perfect":
-        return is_perfect_lovasz, _SubsetForm(_PRODUCT_BOUND, 0)
+        return is_perfect_lovasz, _SubsetForm(_product_bound, 0)
     if name.startswith("deficiency:"):
         arg = name.split(":", 1)[1]
         try:
@@ -107,7 +107,7 @@ def _resolve(name: str) -> tuple[Callable[[Graph], bool] | None, _SubsetForm | N
             raise ValueError(
                 f"deficiency parameter must be an integer >= 0, got {arg!r}"
             ) from None
-        form = _SubsetForm(_SUM_BOUND, c)
+        form = _SubsetForm(_sum_bound, c)
         return (lambda g: not has_deficiency_above(g, c)), form
     return None, None
 

@@ -189,3 +189,45 @@ def brute_subset_alpha_omega(g: Graph) -> list[tuple[int, int, int]]:
             t = (t - 1) & s
         out.append((s.bit_count(), alpha, omega))
     return out
+
+
+# Bounds of the per-mask subset DP, indexed [alpha(S)][omega(S)] for graphs of
+# up to 20 vertices.
+SUM_BOUND = [[a + w for w in range(21)] for a in range(21)]
+PRODUCT_BOUND = [[a * w for w in range(21)] for a in range(21)]
+
+
+def loop_subset_dp(g: Graph, bound: list[list[int]], stop: int | None) -> tuple[int, int | None]:
+    """The subset DP one mask at a time: (value, mask) of the max of
+    |S| - bound[alpha(S)][omega(S)] over non-empty masks S, by the first-hit
+    rule of invariants._subset_dp. Each mask S grows from S - v, v its
+    highest vertex: alpha(S) is the larger of alpha(S - v) and
+    1 + alpha(S minus v's neighbours), omega(S) of omega(S - v) and
+    1 + omega(S among v's neighbours)."""
+    n = g.n
+    if n == 0:
+        return 0, None
+    at, wt = [0] * (1 << n), [0] * (1 << n)
+    best, best_mask = -1, None
+    for v, row in enumerate(g.adj):
+        if stop is not None and best > stop:
+            break
+        bit = 1 << v
+        away = ~row
+        for rest in range(bit):
+            s = rest | bit
+            a1 = at[rest]
+            a2 = at[rest & away] + 1
+            a = a1 if a1 >= a2 else a2
+            at[s] = a
+            w1 = wt[rest]
+            w2 = wt[rest & row] + 1
+            w = w1 if w1 >= w2 else w2
+            wt[s] = w
+            d = s.bit_count() - bound[a][w]
+            if d > best:
+                best = d
+                best_mask = s
+                if stop is not None and d > stop:
+                    break
+    return best, best_mask

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
 from oracles import (
+    PRODUCT_BOUND,
+    SUM_BOUND,
     branching_matching,
     brute_alpha,
     brute_matching,
@@ -13,6 +16,7 @@ from oracles import (
     brute_subset_alpha_omega,
     brute_triangles,
     labeled_graphs,
+    loop_subset_dp,
 )
 from sumperfect.enumeration import descendants
 from sumperfect.graphs import (
@@ -30,12 +34,12 @@ from sumperfect.graphs import (
     star_graph,
 )
 from sumperfect.invariants import (
-    _PRODUCT_BOUND,
-    _SUM_BOUND,
     SUBSET_MAX,
     InvariantReport,
     StableCliquePair,
+    _product_bound,
     _subset_dp,
+    _sum_bound,
     clique_number,
     compute_report,
     deficit,
@@ -247,6 +251,10 @@ def test_threshold_vs_deficiency_equivalence(small_corpus):
             assert (max_deficiency(g) <= 0) == is_sum_perfect_definitional(g)
 
 
+# The DP's lane-wise bounds, each with its per-mask table [alpha][omega].
+BOUNDS = ((_sum_bound, SUM_BOUND), (_product_bound, PRODUCT_BOUND))
+
+
 def _first_hit(values: list[int], stop: int | None) -> tuple[int, int | None]:
     """What _subset_dp must return, read off the values of all masks."""
     if len(values) == 1:
@@ -266,8 +274,8 @@ def test_subset_dp_returns_the_first_mask_in_ascending_order(small_corpus):
     graphs += [g for n in range(7) for g in labeled_graphs(n)]
     for g in graphs:
         table = brute_subset_alpha_omega(g)
-        for bound in (_SUM_BOUND, _PRODUCT_BOUND):
-            values = [k - bound[a][w] for k, a, w in table]
+        for bound, per_mask in BOUNDS:
+            values = [k - per_mask[a][w] for k, a, w in table]
             for stop in (None, -1, 0, 1):
                 assert _subset_dp(g, bound, stop) == _first_hit(values, stop), (g, stop)
 
@@ -295,9 +303,58 @@ def test_resumed_subset_dp_equals_a_fresh_one():
             last[g.n] = g
     assert len(walks[1]) == sum(1 << (n * (n - 1) // 2) for n in range(1, 6))
     for graphs in walks:
-        for bound in (_SUM_BOUND, _PRODUCT_BOUND):
+        for bound, _ in BOUNDS:
             for stop in (None, -1, 0, 1):
                 tables: dict = {}
                 for g in graphs:
                     fresh = _subset_dp(g, bound, stop)
                     assert _subset_dp(g, bound, stop, tables) == fresh, (g, stop)
+
+
+def _lane_limit_graphs() -> list[Graph]:
+    """SUBSET_MAX-vertex graphs at the lanes' largest values (omega = 20,
+    alpha = 20, alpha * omega = 110 with alpha + omega = 21), their
+    complements, and seeded G(n, 1/2) for n = 17..20."""
+    n = SUBSET_MAX
+    rng = random.Random(31)
+    graphs = [complete_graph(n)]
+    for k in (11, 10):  # a clique of k beside n - k isolated vertices
+        graphs.append(disjoint_union(complete_graph(k), complement(complete_graph(n - k))))
+    graphs += [complement(g) for g in graphs]
+    graphs += [from_edge_list(m, [(u, v) for v in range(m) for u in range(v)
+                                  if rng.random() < 0.5]) for m in range(17, n + 1)]
+    return graphs
+
+
+def test_subset_dp_equals_the_per_mask_loop_at_the_lane_limits():
+    graphs = _lane_limit_graphs()
+    assert sorted(g.n for g in graphs) == [17, 18, 19] + [SUBSET_MAX] * 7
+    products = [stability_number(g) * clique_number(g) for g in graphs[1:3] + graphs[4:6]]
+    assert products == [110] * 4
+    for g in graphs:
+        prefix = induced_subgraph(g, range(g.n - 1))
+        for bound, per_mask in BOUNDS:
+            full = loop_subset_dp(g, per_mask, None)
+            for stop in (None, -1, 0, 1, 5):
+                # A stop no mask exceeds leaves the loop as it runs with None.
+                want = full if stop is None or full[0] <= stop else loop_subset_dp(g, per_mask, stop)
+                assert _subset_dp(g, bound, stop) == want, (g, stop)
+                tables: dict = {}
+                _subset_dp(prefix, bound, stop, tables)
+                assert _subset_dp(g, bound, stop, tables) == want, (g, stop)
+
+
+def test_a_twenty_vertex_scan_stays_small():
+    # The table is two ints of 2^20 byte lanes, plus a few 2^19-lane
+    # temporaries: about 7 MB at the peak, against 24 MB for lists of ints.
+    rng = random.Random(7)
+    edges = [(u, v) for v in range(10) for u in range(v)]
+    edges += [(u, v) for v in range(10, SUBSET_MAX) for u in range(10) if rng.random() < 0.5]
+    host = from_edge_list(SUBSET_MAX, edges)
+    tracemalloc.start()
+    try:
+        assert max_deficiency(host) == 0  # a split graph is sum-perfect
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20, peak
