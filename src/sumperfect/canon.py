@@ -46,17 +46,27 @@ first canonical vertex lying in the root refinement's first cell, which holds
 vertices of least (degree, sorted neighbour degrees): refinement ranks cells
 by degree, then by that profile, and individualisation keeps their order.
 
+Enumeration may seed `_search` with automorphisms it knows beforehand (twin
+swaps). A seed prunes siblings exactly as a found automorphism does, so the
+argument above holds with the seeds counted among the found ones, and they
+lead the returned list. Order and key do not change: a pruned subtree's
+leaves are images of leaves of an earlier sibling's subtree, so the first
+leaf in depth-first order with the least column tuple, which fixes both,
+is never pruned, with or without seeds.
+
+`_refine` returns a partition as soon as it is discrete: one more pass
+would only confirm it.
+
 There is one labelling path: `canonical_form` checks the n <= CANON_MAX
 envelope (with `check_canon_order`, which mining also calls before it
 keeps a certificate), refines the unit partition into the root colouring
-and hands it to `_search`, which packs the key and returns the
-automorphisms. Enumeration calls `_refine` and `_search` itself, so a child
-whose root colouring does not settle its acceptance is searched from that
-colouring without refining it again. `canonical_labeling` and
-`canonical_key` are views of `canonical_form`'s result, and `is_isomorphic`
-compares two keys, so it too refuses n > CANON_MAX. `orbit_mins` turns a
-list of permutations into orbits, for the search's sibling pruning and for
-enumeration.
+and hands it to `_search`, unseeded, which packs the key and returns the
+automorphisms. Enumeration calls `_refine` and `_search` itself, so a
+parent or child is searched from its root colouring without refining it
+again. `canonical_labeling` and `canonical_key` are views of
+`canonical_form`'s result, and `is_isomorphic` compares two keys, so it
+too refuses n > CANON_MAX. `orbit_mins` turns a list of permutations into
+orbits, for the search's sibling pruning and for enumeration.
 """
 
 from __future__ import annotations
@@ -96,7 +106,9 @@ def orbit_mins(size: int, perms) -> list[int]:
 
 
 def _refine(n: int, adj: tuple[int, ...], colors: list[int]) -> list[int]:
-    """Stabilize colors under (own color, sorted neighbour colors); ids normalized."""
+    """Stabilize colors under (own color, sorted neighbour colors); ids
+    normalized. A discrete partition is returned as soon as a pass makes
+    it, since the next would rank every vertex by its own colour alone."""
     ncls = len(set(colors))
     while True:
         sigs = []
@@ -111,7 +123,7 @@ def _refine(n: int, adj: tuple[int, ...], colors: list[int]) -> list[int]:
             sigs.append((colors[v], tuple(acc)))
         ids = {s: i for i, s in enumerate(sorted(set(sigs)))}
         colors = [ids[s] for s in sigs]
-        if len(ids) == ncls:
+        if len(ids) == ncls or len(ids) == n:
             return colors
         ncls = len(ids)
 
@@ -124,13 +136,16 @@ def canonical_form(g: Graph) -> tuple[tuple[int, ...], bytes, list[tuple[int, ..
     return _search(g, _refine(g.n, g.adj, [0] * g.n))
 
 
-def _search(g: Graph, root: list[int]) -> tuple[tuple[int, ...], bytes, list[tuple[int, ...]]]:
+def _search(g: Graph, root: list[int],
+            seed=()) -> tuple[tuple[int, ...], bytes, list[tuple[int, ...]]]:
     """canonical_form(g) searched from root, g's refinement of the unit
-    partition; g must be within the envelope."""
+    partition; g must be within the envelope. seed holds automorphisms
+    known beforehand: they prune siblings like found ones and lead the
+    returned list, and change neither the order nor the key."""
     n, adj = g.n, g.adj
     best_cols: tuple[int, ...] | None = None
     best_order: tuple[int, ...] | None = None
-    auts: list[tuple[int, ...]] = []
+    auts: list[tuple[int, ...]] = list(seed)
 
     def columns(order: tuple[int, ...]) -> tuple[int, ...]:
         cols = []

@@ -2,9 +2,19 @@
 canonical augmentation (McKay 1998, "Isomorph-free exhaustive generation").
 
 Each n-vertex class is produced by extending an (n-1)-vertex representative
-with one new vertex. The parent is labelled once, and its automorphism group
-decides which neighbourhoods to try: one per orbit of the group on vertex
-subsets, the smallest of each (every subset when the group is trivial).
+with one new vertex. The parent's automorphism group decides which
+neighbourhoods to try: one per orbit of the group on vertex subsets, the
+smallest of each (every subset when the group is trivial), among those of
+at most min degree + 1 vertices, as the new vertex must be degree-minimal.
+The parent's root colouring (canon's refined unit partition, refined here
+from the degree ranks its first pass would make) is computed once. Its
+cells are Aut-invariant, so if each cell is a class of mutual twins (a
+discrete root included), Aut is the product of the cells' symmetric groups
+and the least subset of an orbit holds the lowest k vertices of each cell:
+those are listed directly, with no search. Any other parent is searched
+from that root with its twin swaps seeded as known automorphisms, and the
+orbits come from orbit_mins over the subset images. To level 8, 824 of the
+1,253 parents need no search.
 
 A child is kept iff its new vertex is a canonical deletion: it shares an
 orbit of the child's automorphism group with the child's first canonical
@@ -16,8 +26,9 @@ vertex that ties there (a hard tie) is decided, in this order: accepted if
 it is a twin of every tie (swapping twins is an automorphism); rejected if
 it is outside the root refinement's first cell; accepted if it is a twin of
 every other vertex of that cell; otherwise the child is labelled once, from
-that root colouring. To level 8 that labels 1,458 of the 4,223 hard ties.
-Both sides need the whole automorphism group, which `canon` guarantees.
+that root colouring, with its twin swaps seeded. To level 8 that labels
+1,458 of the 4,223 hard ties. Both sides need the whole automorphism group,
+which `canon` guarantees with or without seeds.
 """
 
 from __future__ import annotations
@@ -27,9 +38,8 @@ from typing import Iterator
 # canonical_key and induced_subgraph stay bound for perfbench/tracing.py,
 # which wraps them for canon.calls.enumeration, canon.s.enumeration,
 # canon.keys_per_child and graphs.calls.enumeration. They feed nothing:
-# children_of labels through canonical_form and _search and calls neither,
-# so those read 0.
-from .canon import _refine, _search, canonical_form, canonical_key, orbit_mins
+# children_of labels through _search and calls neither, so those read 0.
+from .canon import _refine, _search, canonical_key, orbit_mins
 from .graphs import Graph, induced_subgraph, mask_of
 
 ENUM_MAX = 10
@@ -60,24 +70,90 @@ def _twins(rows: tuple[int, ...], a: int, b: int) -> bool:
     return rows[a] & ~(1 << b) == rows[b] & ~(1 << a)
 
 
-def _new_vertex_is_canonical(child: Graph, ties: list[int]) -> bool:
+def _root(n: int, rows: tuple[int, ...], degrees: list[int]) -> list[int]:
+    """canon's root colouring (the refined unit partition), refined from
+    the degree ranks that its first pass would make."""
+    rank = {d: i for i, d in enumerate(sorted(set(degrees)))}
+    return _refine(n, rows, [rank[d] for d in degrees])
+
+
+def _twin_classes(n: int, rows: tuple[int, ...], colors: list[int]) -> list[list[int]]:
+    """Each colour cell split into its classes of mutual twins (being twins
+    is an equivalence relation), cells in colour order, classes ascending."""
+    cells: list[list[list[int]]] = [[] for _ in range(max(colors, default=-1) + 1)]
+    for v in range(n):
+        cell = cells[colors[v]]
+        twin = next((c for c in cell if _twins(rows, c[0], v)), None)
+        if twin is None:
+            cell.append([v])
+        else:
+            twin.append(v)
+    return [c for cell in cells for c in cell]
+
+
+def _swaps(n: int, classes: list[list[int]]) -> list[tuple[int, ...]]:
+    """The twin swaps of each class c with its first vertex, as permutations."""
+    out = []
+    for c in classes:
+        for x in c[1:]:
+            perm = list(range(n))
+            perm[c[0]], perm[x] = x, c[0]
+            out.append(tuple(perm))
+    return out
+
+
+def _new_vertex_is_canonical(child: Graph, ties: list[int], degrees: list[int]) -> bool:
     """Whether the child's new (last) vertex v shares an orbit with its first
     canonical vertex, where ties are the other vertices of v's (degree,
-    profile). That vertex lies in the root refinement's first cell, which
-    lies in {v} + ties; a twin of v shares its orbit. Only a child these
-    tests leave open is labelled, from the same root colouring."""
+    profile) and degrees are the child's. That vertex lies in the root
+    refinement's first cell, which lies in {v} + ties; a twin of v shares
+    its orbit. Only a child these tests leave open is labelled, from the
+    same root colouring, with its twin swaps seeded."""
     n, rows = child.n, child.adj
     v = n - 1
     if all(_twins(rows, v, u) for u in ties):
         return True
-    root = _refine(n, rows, [0] * n)
+    root = _root(n, rows, degrees)
     if root[v]:
         return False
     if all(_twins(rows, v, u) for u in ties if root[u] == 0):
         return True
-    order, _, auts = _search(child, root)
+    order, _, auts = _search(child, root, _swaps(n, _twin_classes(n, rows, root)))
     mins = orbit_mins(n, auts)
     return mins[order[0]] == mins[v]
+
+
+def _least_subsets(classes: list[list[int]], most: int) -> list[int]:
+    """Ascending, the subsets of at most `most` vertices that hold the
+    lowest k vertices of each class, for every k: the least subset of each
+    orbit of the product of the classes' symmetric groups."""
+    masks = [0]
+    for c in classes:
+        grown = []
+        for m in masks:
+            grown.append(m)
+            for v in c[:most - m.bit_count()]:
+                m |= 1 << v
+                grown.append(m)
+        masks = grown
+    masks.sort()
+    return masks
+
+
+def _neighbourhoods(g: Graph, degrees: list[int], most: int) -> list[int]:
+    """Ascending, the least subset of each orbit of Aut(g) on the vertex
+    subsets of at most `most` vertices; degrees are g's. Root cells are
+    Aut-invariant, so if each is one twin class (a discrete root included),
+    Aut is the product of their symmetric groups and no search is run;
+    otherwise g is searched with its twin swaps seeded."""
+    n = g.n
+    root = _root(n, g.adj, degrees)
+    classes = _twin_classes(n, g.adj, root)
+    if len(classes) == max(root, default=-1) + 1:
+        return _least_subsets(classes, most)
+    auts = _search(g, root, _swaps(n, classes))[2]
+    mins = orbit_mins(1 << n, [_subset_images(a) for a in auts])
+    return [s for s, m in enumerate(mins) if s == m and s.bit_count() <= most]
 
 
 def children_of(parent: Graph) -> list[Graph]:
@@ -88,10 +164,6 @@ def children_of(parent: Graph) -> list[Graph]:
     vbit = 1 << pn
     min_pdeg = min(pdeg) if pn else 0
     min_verts = mask_of(u for u in range(pn) if pdeg[u] == min_pdeg)
-
-    auts = canonical_form(parent)[2]
-    mins = orbit_mins(1 << pn, [_subset_images(a) for a in auts])
-    neighbourhoods = [nb for nb, m in enumerate(mins) if nb == m]
 
     def profile(rows: tuple[int, ...], cd: list[int], u: int) -> tuple[int, ...]:
         row = rows[u]
@@ -104,12 +176,11 @@ def children_of(parent: Graph) -> list[Graph]:
         return tuple(acc)
 
     out: list[Graph] = []
-    for nb in neighbourhoods:
+    # The new vertex must be degree-minimal in the child, so it has at most
+    # min_pdeg + 1 neighbours. Past the test below every child degree
+    # pdeg[u] + [u in nb] is at least dv.
+    for nb in _neighbourhoods(parent, pdeg, min_pdeg + 1):
         dv = nb.bit_count()
-        # The new vertex must be degree-minimal in the child. Past these two
-        # tests every child degree pdeg[u] + [u in nb] is at least dv.
-        if dv > min_pdeg + 1:
-            continue
         if dv == min_pdeg + 1 and (min_verts & ~nb):
             continue
         cd = [0] * (pn + 1)
@@ -138,7 +209,7 @@ def children_of(parent: Graph) -> list[Graph]:
                     break
                 if pu == pv:
                     ties.append(u)
-            if reject or (ties and not _new_vertex_is_canonical(child, ties)):
+            if reject or (ties and not _new_vertex_is_canonical(child, ties, cd)):
                 continue
         out.append(child)
 

@@ -269,12 +269,18 @@ def _product_bound(at: int, wt: int, ones: int) -> int:
 
 def _stored_prefix(tables: dict, g: Graph) -> tuple | None:
     """tables[n - 1] if it holds g's prefix, else None. Each order's entry is
-    the last record a walk kept for that order, adjacency rows first; it holds
-    g's prefix iff g's vertices 0..n-2 induce those rows, as a child's induce
-    its parent's when the child directly follows it in an enumerated walk."""
+    the last record a walk kept for that order, its n - 1 adjacency rows
+    first; it holds g's prefix iff g's vertices 0..n-2 induce those rows, as
+    a child's induce its parent's when the child directly follows it in an
+    enumerated walk."""
     prev = tables.get(g.n - 1)
+    if not prev:
+        return None
     low = (1 << g.n >> 1) - 1
-    return prev if prev and prev[0] == tuple(row & low for row in g.adj[:-1]) else None
+    for row, kept in zip(g.adj, prev[0]):
+        if row & low != kept:
+            return None
+    return prev
 
 
 def _subset_dp(g: Graph, bound: Callable[[int, int, int], int], stop: int | None,

@@ -9,8 +9,12 @@ breaks the class, so g is a member iff there is none, and minimal forbidden
 iff it is the full vertex set, the largest mask, since any other lies inside
 some g - v. A graph resumes the DP of its prefix where the task stored it
 (see invariants._stored_prefix), and the conjecture sweep grows alpha and
-omega from the prefix's the same way. Threshold is decided by elimination
-instead: a non-member is minimal forbidden iff every g - v is a member.
+omega from the prefix's the same way. A leaf of the conjecture walk (order
+max_n, which each subtree task carries) whose stored prefix has deficit
+<= 0 has deficit <= 1, since alpha and omega never shrink when a vertex is
+added, so it is settled with no growth, complement or B-check. Threshold
+is decided by elimination instead: a non-member is minimal forbidden iff
+every g - v is a member.
 A sweep to max_n cuts the generation tree at the root order
 s = max(1, min(_SPLIT, max_n - 1)), as geng's res/mod splitting does: the
 main process visits orders 1..s-1 as one task over one walk, and each
@@ -146,13 +150,19 @@ def _verdict(form: _SubsetForm | None, fn: Callable[[Graph], bool], g: Graph,
 
 # Conjecture machinery ---------------------------------------------------------
 
-def _conjecture_visit(g: Graph, last: dict) -> tuple[bool, str | None]:
+def _conjecture_visit(g: Graph, last: dict,
+                      max_n: int | None = None) -> tuple[bool, str | None]:
     """(needed B-check, counterexample graph6 or None) for one graph. `last`,
     a caller-owned dict, keeps each order's last (adjacency, alpha, omega).
     Both grow vertex by vertex as in _subset_dp (alpha as the complement's
-    omega), from the stored prefix's (_stored_prefix) else from vertex 0."""
-    n, adj, co = g.n, g.adj, complement(g).adj
+    omega), from the stored prefix's (_stored_prefix) else from vertex 0.
+    A leaf (order max_n) whose stored prefix has deficit <= 0 is settled
+    at once (module docstring), and nothing is stored: no graph extends it."""
+    n = g.n
     prev = _stored_prefix(last, g)
+    if prev is not None and n == max_n and n - 1 - prev[1] - prev[2] <= 0:
+        return False, None
+    adj, co = g.adj, complement(g).adj
     first, alpha, omega = (n - 1, prev[1], prev[2]) if prev is not None else (0, 0, 0)
     for v in range(first, n):
         below = (1 << v) - 1
@@ -168,8 +178,10 @@ def _conjecture_visit(g: Graph, last: dict) -> tuple[bool, str | None]:
 
 # Worker plumbing ---------------------------------------------------------------
 
-def _mine_chunk(class_name: str, graphs: Iterable[Graph]) -> tuple[list[str], int]:
-    """Minimal forbidden graphs among graphs, with a sampled heredity check."""
+def _mine_chunk(class_name: str, graphs: Iterable[Graph],
+                max_n: int | None = None) -> tuple[list[str], int]:
+    """Minimal forbidden graphs among graphs, with a sampled heredity check;
+    max_n is unused."""
     # fn comes through get_predicate, where a predicate can be substituted;
     # a substitute without a known class name gets no DP form.
     fn = get_predicate(class_name).fn
@@ -191,21 +203,26 @@ def _mine_chunk(class_name: str, graphs: Iterable[Graph]) -> tuple[list[str], in
     return lines, 0
 
 
-def _conjecture_chunk(class_name: str, graphs: Iterable[Graph]) -> tuple[list[str], int]:
-    """Counterexamples among graphs and the B-scans run; class_name is unused."""
+def _conjecture_chunk(class_name: str, graphs: Iterable[Graph],
+                      max_n: int | None = None) -> tuple[list[str], int]:
+    """Counterexamples among graphs and the B-scans run, where graphs of
+    order max_n (None: no order) are leaves of the walk; class_name is
+    unused."""
     lines: list[str] = []
     bscans = 0
     last: dict = {}  # each order's last alpha and omega, for graphs extending it
     for g in graphs:
-        scanned, cex = _conjecture_visit(g, last)
+        scanned, cex = _conjecture_visit(g, last, max_n)
         bscans += scanned
         if cex is not None:
             lines.append(cex)
     return lines, bscans
 
 
-def _threshold_chunk(class_name: str, graphs: Iterable[Graph]) -> tuple[list[str], int]:
-    """Graphs on which the three threshold tests disagree; class_name is unused."""
+def _threshold_chunk(class_name: str, graphs: Iterable[Graph],
+                     max_n: int | None = None) -> tuple[list[str], int]:
+    """Graphs on which the three threshold tests disagree; class_name and
+    max_n are unused."""
     lines = [emit_graph6(g) for g in graphs
              if not (is_threshold(g) == is_threshold_by_obstructions(g)
                      == check_threshold_theorem(g))]
@@ -216,9 +233,10 @@ def _work(task) -> tuple[dict[int, int], list[str], int]:
     """Run one task through its chunk function (_mine_chunk,
     _conjecture_chunk or _threshold_chunk, which return the graph6 lines
     found in visit order and the B-scans run). A task (chunk, class, root,
-    max_n) visits root and then its subtree down to order max_n; (chunk,
-    class, graphs, None) visits the listed graphs. Returns (visited by
-    order, lines, bscans).
+    max_n) visits root and then its subtree down to order max_n, and tells
+    the chunk that its graphs of order max_n are leaves; (chunk, class,
+    graphs, None) visits the listed graphs. Returns (visited by order,
+    lines, bscans).
     """
     chunk, class_name, graphs, max_n = task
     if max_n is not None:
@@ -230,7 +248,7 @@ def _work(task) -> tuple[dict[int, int], list[str], int]:
             visited[g.n] = visited.get(g.n, 0) + 1
             yield g
 
-    return (visited, *chunk(class_name, counted()))
+    return (visited, *chunk(class_name, counted(), max_n))
 
 
 def _map_tasks(tasks: list, jobs: int) -> Iterator:

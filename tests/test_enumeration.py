@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import hashlib
+import random
 from itertools import combinations
 
 import pytest
 
 import sumperfect.enumeration as enumeration
 from oracles import labeled_graphs
-from sumperfect.canon import canonical_form, canonical_key, orbit_mins
+from sumperfect.canon import _refine, _search, canonical_form, canonical_key, orbit_mins
 from sumperfect.enumeration import (
     ENUMERATOR_VERSION,
     children_of,
@@ -16,7 +17,7 @@ from sumperfect.enumeration import (
     stream_graphs,
 )
 from sumperfect.graph6 import emit_graph6
-from sumperfect.graphs import Graph
+from sumperfect.graphs import Graph, from_edge_list
 
 # Non-isomorphic simple graph counts; the n <= 6 entries are re-derived from
 # the labeled brute force below, the rest are the published sequence values.
@@ -104,22 +105,114 @@ def test_hard_tie_children_are_labelled_only_when_twins_and_the_root_leave_them_
     # Generating levels <= 8 meets 4,223 children whose new vertex ties in
     # (degree, profile). Twin swaps settle 1,396 of them and the root
     # refinement 1,369 more; the other 1,458 are searched from that root.
+    # Each of the 1,253 parents is refined once, and only the 429 whose root
+    # cells are not all twin classes are searched.
     parents = [g for n in range(8) for g in graphs_of_order(n)]
-    calls = {"_refine": 0, "_search": 0}
+    calls = {site: {"_refine": 0, "_search": 0} for site in ("parent", "tie")}
+    site = ["parent"]
 
     def counted(name):
         real = getattr(enumeration, name)
 
         def wrapper(*args):
-            calls[name] += 1
+            calls[site[-1]][name] += 1
             return real(*args)
 
         return wrapper
 
-    for name in calls:
+    def in_tie(real):
+        def wrapper(*args):
+            site.append("tie")
+            try:
+                return real(*args)
+            finally:
+                site.pop()
+
+        return wrapper
+
+    for name in calls["parent"]:
         monkeypatch.setattr(enumeration, name, counted(name))
+    monkeypatch.setattr(enumeration, "_new_vertex_is_canonical",
+                        in_tie(enumeration._new_vertex_is_canonical))
     assert sum(len(children_of(p)) for p in parents) == 13598  # orders 1..8
-    assert calls == {"_refine": 2827, "_search": 1458}
+    assert calls == {"parent": {"_refine": 1253, "_search": 429},
+                     "tie": {"_refine": 2827, "_search": 1458}}
+
+
+def _twin_rich_hosts(seed: int, count: int, max_n: int) -> list[Graph]:
+    """Seeded threshold graphs (each vertex added isolated or dominating)
+    and blow-ups (each vertex of a random graph on 3..6 vertices replaced by
+    a clique or a stable set, all alike in half of them) of at most max_n
+    vertices, randomly relabelled."""
+    rng = random.Random(seed)
+    hosts = []
+    for i in range(count):
+        if i % 2:
+            n = rng.randint(2, max_n)
+            dominating = [v for v in range(n) if rng.random() < 0.5]
+            edges = [(u, v) for v in dominating for u in range(v)]
+        else:
+            k = rng.randint(3, 6)
+            base = {(u, v) for v in range(k) for u in range(v) if rng.random() < 0.5}
+            uniform = rng.random() < 0.5  # then the blow-up keeps base's group
+            size, clique = rng.randint(1, max_n // k), rng.random() < 0.5
+            parts, n = [], 0
+            for _ in range(k):
+                if not uniform:
+                    size = rng.randint(1, min(3, max_n - n - (k - 1 - len(parts))))
+                    clique = rng.random() < 0.5
+                parts.append((range(n, n + size), clique))
+                n += size
+            edges = [(a, b) for block, clique in parts if clique
+                     for a, b in combinations(block, 2)]
+            edges += [(a, b) for u, v in base for a in parts[u][0] for b in parts[v][0]]
+        perm = list(range(n))
+        rng.shuffle(perm)
+        hosts.append(from_edge_list(n, [(perm[a], perm[b]) for a, b in edges]))
+    return hosts
+
+
+def _orbit_least_subsets(g: Graph, most: int) -> list[int]:
+    """The least subset of each orbit of canonical_form's group on the vertex
+    subsets of at most `most` vertices, through orbit_mins, ascending."""
+    auts = canonical_form(g)[2]
+    mins = orbit_mins(1 << g.n, [enumeration._subset_images(a) for a in auts])
+    return [s for s, m in enumerate(mins) if s == m and s.bit_count() <= most]
+
+
+def test_twin_class_neighbourhoods_equal_the_orbit_path():
+    # Where every root cell is one twin class, the neighbourhoods are listed
+    # from the classes with no search; elsewhere the search is seeded with
+    # twin swaps. Both must give the orbit_mins path's subsets, at every
+    # size cap, on every parent of order <= 7 and on twin-rich hosts.
+    parents = [g for n in range(8) for g in graphs_of_order(n)]
+    hosts = _twin_rich_hosts(32, 120, 10)
+    assert max(g.n for g in hosts) == 10
+    symmetric = []
+    for g in parents + hosts:
+        deg = [r.bit_count() for r in g.adj]
+        root = enumeration._root(g.n, g.adj, deg)
+        assert root == _refine(g.n, g.adj, [0] * g.n)
+        classes = enumeration._twin_classes(g.n, g.adj, root)
+        symmetric.append(len(classes) == max(root, default=-1) + 1)
+        for most in sorted({g.n, min(deg, default=0) + 1}):
+            assert enumeration._neighbourhoods(g, deg, most) == _orbit_least_subsets(g, most)
+    assert sum(symmetric[:len(parents)]) == 824  # 162 discrete roots, 662 others
+    assert 0 < sum(symmetric[len(parents):]) < len(hosts)
+
+
+def test_seeded_search_keeps_the_order_key_and_orbits():
+    # Twin swaps seeded into the search prune only subtrees that hold images
+    # of leaves already visited, so the order and key stay, and the seeds
+    # with the automorphisms found still generate the whole group.
+    for g in [g for n in range(8) for g in graphs_of_order(n)] + _twin_rich_hosts(33, 120, 10):
+        order, key, auts = canonical_form(g)
+        root = _refine(g.n, g.adj, [0] * g.n)
+        seed = enumeration._swaps(g.n, enumeration._twin_classes(g.n, g.adj, root))
+        s_order, s_key, s_auts = _search(g, root, seed)
+        assert (s_order, s_key) == (order, key)
+        assert s_auts[:len(seed)] == seed
+        assert orbit_mins(g.n, s_auts) == orbit_mins(g.n, auts)
 
 
 def test_stream_agrees_with_list():

@@ -669,6 +669,18 @@ def test_shuffled_graphs_give_the_same_conjecture_chunk(monkeypatch):
     assert (sorted(lines), bscans) == (sorted(expect), 2449)
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_leaf_bound_skips_no_deficient_leaf(monkeypatch, jobs):
+    # A leaf whose parent has deficit <= 0 is settled without alpha, omega or
+    # a B-check. With no B-check passing, every graph of deficit >= 2 is a
+    # counterexample, so a leaf skipped wrongly would be missing here.
+    monkeypatch.setattr(mining, "has_b_copy", lambda g: False)
+    expect = sorted(emit_graph6(g) for g in descendants(Graph(0, ()), 8) if deficit(g) >= 2)
+    rep = verify_conjecture(8, jobs=jobs)
+    assert (rep.counterexamples, rep.deficient_scanned) == (expect, 2449)
+    assert len(expect) == 2449
+
+
 def test_verify_conjecture_flags_counterexample(monkeypatch):
     # No genuine counterexample is known, so let the B-check find no copy in
     # any graph and check the failure path end to end.
