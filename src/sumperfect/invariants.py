@@ -283,6 +283,14 @@ def _stored_prefix(tables: dict, g: Graph) -> tuple | None:
     return prev
 
 
+def _full_set(record: tuple) -> tuple[int, int]:
+    """(alpha, omega) of the graph whose scan stored `record` (see _subset_dp),
+    read off the lane of its full vertex set; the scan must have reached it,
+    as every scan with stop None does."""
+    shift = 8 * ((1 << len(record[0])) - 1)
+    return (record[1] >> shift) & 255, (record[2] >> shift) & 255
+
+
 def _subset_dp(g: Graph, bound: Callable[[int, int, int], int], stop: int | None,
                tables: dict | None = None) -> tuple[int, int | None]:
     """Max of |S| - bound(alpha(S), omega(S)) over non-empty induced subgraphs.
@@ -306,10 +314,12 @@ def _subset_dp(g: Graph, bound: Callable[[int, int, int], int], stop: int | None
     subset exceeds `stop`.
 
     `tables`, a caller-owned dict passed only with one bound and stop, keeps
-    the last scan of each order. Where it holds g's prefix (_stored_prefix),
-    the scan resumes from it and returns a fresh scan's result: the masks
-    below 2^(n-1), that prefix's subsets, come first in the same order, so
-    only those holding vertex n - 1 are new (none if it hit `stop`).
+    the last scan of each order as (rows, alpha lanes, omega lanes, value,
+    mask); _full_set reads that graph's own alpha and omega off it. Where it
+    holds g's prefix (_stored_prefix), the scan resumes from it and returns
+    a fresh scan's result: the masks below 2^(n-1), that prefix's subsets,
+    come first in the same order, so only those holding vertex n - 1 are
+    new (none if it hit `stop`).
 
     Raises ValueError if n > SUBSET_MAX: the one envelope check of every
     subset scan.

@@ -1,20 +1,25 @@
 """Minimal forbidden induced subgraph mining and the verification harnesses.
 
-A hereditary class predicate is mined by visiting every isomorphism class up
-to a target order and keeping the graphs that fail the predicate while every
-proper induced subgraph satisfies it. For the classes the subset DP decides
-(sum-perfect, perfect, deficiency:C) one DP pass per graph settles both: the
-DP visits vertex subsets in ascending mask order and stops at the first that
-breaks the class, so g is a member iff there is none, and minimal forbidden
-iff it is the full vertex set, the largest mask, since any other lies inside
-some g - v. A graph resumes the DP of its prefix where the task stored it
-(see invariants._stored_prefix), and the conjecture sweep grows alpha and
-omega from the prefix's the same way. A leaf of the conjecture walk (order
-max_n, which each subtree task carries) whose stored prefix has deficit
-<= 0 has deficit <= 1, since alpha and omega never shrink when a vertex is
-added, so it is settled with no growth, complement or B-check. Threshold
-is decided by elimination instead: a non-member is minimal forbidden iff
-every g - v is a member.
+Every sweep runs one loop (_work) over each task's graphs. It hands each
+graph to the sweep's visit, which returns a graph6 line or None and keeps
+what passes from graph to graph in the task's one state dict:
+- mine keeps the graphs that fail a hereditary class while every proper
+  induced subgraph is in it. For the classes the subset DP decides
+  (sum-perfect, perfect, deficiency:C) one DP pass per graph settles both:
+  the DP visits vertex subsets in ascending mask order and stops at the
+  first that breaks the class, so g is a member iff there is none, and
+  minimal forbidden iff it is the full vertex set, the largest mask, since
+  any other lies inside some g - v. Threshold is decided by elimination: a
+  non-member is minimal forbidden iff every g - v is a member.
+- conjecture runs the same DP with no stop, so every lane is built, and
+  reads alpha(g) and omega(g) off the full set's (invariants._full_set). A
+  leaf of its walk (order max_n, which each subtree task carries) whose
+  stored prefix has deficit <= 0 has deficit <= 1, since alpha and omega
+  never shrink when a vertex is added: it gets no scan and no B-check.
+- threshold reports the graphs on which three threshold tests disagree.
+Both DP sweeps resume the DP of g's prefix where the task stored it (see
+invariants._stored_prefix), as an enumerated walk visits each graph right
+after its parent.
 A sweep to max_n cuts the generation tree at the root order
 s = max(1, min(_SPLIT, max_n - 1)), as geng's res/mod splitting does: the
 main process visits orders 1..s-1 as one task over one walk, and each
@@ -27,15 +32,15 @@ counts its graphs by order itself. _sweep is the one gate of every sweep:
 it refuses out-of-range max_n or jobs, and a stream graph of order above
 max_n, with ValueError before anything runs.
 An enumerated sweep can checkpoint into an append-only journal: a JSON
-header line naming the sweep (task, class, level = max_n, roots = s, the
-number of subtree tasks, and the enumerator version, since records follow
-the roots by position), then one JSON line [visited by order, lines, bscans]
-per completed subtree, covering its root and every graph below it. A rerun
-revisits orders below s, adds the journaled results like fresh ones and
-runs only the subtrees after them; a journal for another sweep, in an
-older format, with more records than tasks, with a record no subtree of
-its sweep can give, or with a malformed line other than a torn last one
-is refused with ValueError.
+header line naming the sweep (task, the sweep's name; class; level = max_n;
+roots = s; the number of subtree tasks; and the enumerator version, since
+records follow the roots by position), then one JSON line [visited by
+order, lines, bscans] per completed subtree, covering its root and every
+graph below it. A rerun revisits orders below s, adds the journaled results
+like fresh ones and runs only the subtrees after them; a journal for
+another sweep, in an older format, with more records than tasks, with a
+record no subtree of its sweep can give, or with a malformed line other
+than a torn last one is refused with ValueError.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ import itertools
 import json
 import multiprocessing
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator
 
 from .canon import canonical_key, check_canon_order
 # children_of stays bound for perfbench/tracing.py, which wraps it into the
@@ -58,9 +63,9 @@ from .enumeration import (
 )
 from .family import build_family, has_b_copy
 from .graph6 import _decimal, emit_graph6, parse_graph6
-from .graphs import Graph, complement, delete_vertex
+from .graphs import Graph, delete_vertex
 from .invariants import (
-    _clique_bb,
+    _full_set,
     _product_bound,
     _stored_prefix,
     _subset_dp,
@@ -87,22 +92,19 @@ class ClassPredicate:
     fn: Callable[[Graph], bool]
 
 
-class _SubsetForm(NamedTuple):
-    """g is a member iff every non-empty induced subgraph S has
-    |S| - bound(alpha(S), omega(S)) <= stop (bound in lanes, see _subset_dp)."""
-
-    bound: Callable[[int, int, int], int]
-    stop: int
-
-
-def _resolve(name: str) -> tuple[Callable[[Graph], bool] | None, _SubsetForm | None]:
-    """(membership fn, subset-DP form or None) of a class; (None, None) if unknown."""
+def _lookup(name: str) -> tuple[str, Callable[[Graph], bool] | None, tuple | None]:
+    """(spelling, membership fn, subset-DP form) of a class. The spelling
+    writes deficiency:C's C in plain decimal. The form (bound, stop) says g
+    is a member iff every non-empty induced subgraph S has
+    |S| - bound(alpha(S), omega(S)) <= stop (bound in lanes, see
+    _subset_dp), or is None. An unknown name keeps its spelling and has
+    neither fn nor form."""
     if name == "threshold":
-        return is_threshold, None
+        return name, is_threshold, None
     if name == "sum-perfect":
-        return is_sum_perfect_definitional, _SubsetForm(_sum_bound, 0)
+        return name, is_sum_perfect_definitional, (_sum_bound, 0)
     if name == "perfect":
-        return is_perfect_lovasz, _SubsetForm(_product_bound, 0)
+        return name, is_perfect_lovasz, (_product_bound, 0)
     if name.startswith("deficiency:"):
         arg = name.split(":", 1)[1]
         try:
@@ -111,29 +113,25 @@ def _resolve(name: str) -> tuple[Callable[[Graph], bool] | None, _SubsetForm | N
             raise ValueError(
                 f"deficiency parameter must be an integer >= 0, got {arg!r}"
             ) from None
-        form = _SubsetForm(_sum_bound, c)
-        return (lambda g: not has_deficiency_above(g, c)), form
-    return None, None
+        return f"deficiency:{c}", (lambda g: not has_deficiency_above(g, c)), (_sum_bound, c)
+    return name, None, None
 
 
 def get_predicate(name: str) -> ClassPredicate:
-    """Resolve a predicate name: sum-perfect, threshold, perfect, deficiency:C.
-    The predicate spells C in plain decimal (its form's stop), so
-    deficiency:01 is named deficiency:1."""
-    fn, form = _resolve(name)
+    """Resolve a predicate name: sum-perfect, threshold, perfect, deficiency:C
+    (named with C in plain decimal, so deficiency:01 is deficiency:1)."""
+    spelling, fn, _ = _lookup(name)
     if fn is None:
         raise ValueError(f"unknown class predicate {name!r}")
-    if name.startswith("deficiency:"):
-        name = f"deficiency:{form.stop}"
-    return ClassPredicate(name, fn)
+    return ClassPredicate(spelling, fn)
 
 
 def is_minimal_forbidden(pred: ClassPredicate, g: Graph) -> bool:
     """True iff g fails the class but every one-vertex deletion satisfies it."""
-    return _verdict(_resolve(pred.name)[1], pred.fn, g)[1]
+    return _verdict(_lookup(pred.name)[2], pred.fn, g)[1]
 
 
-def _verdict(form: _SubsetForm | None, fn: Callable[[Graph], bool], g: Graph,
+def _verdict(form: tuple | None, fn: Callable[[Graph], bool], g: Graph,
              tables: dict | None = None) -> tuple[bool, bool]:
     """(member, minimal forbidden) of g: one subset-DP pass if the class has
     a form (see the module docstring), else fn on g and its deletions. The
@@ -142,113 +140,85 @@ def _verdict(form: _SubsetForm | None, fn: Callable[[Graph], bool], g: Graph,
         if fn(g):
             return True, False
         return False, all(fn(delete_vertex(g, v)) for v in range(g.n))
-    value, mask = _subset_dp(g, form.bound, form.stop, tables)
-    if value <= form.stop:
+    bound, stop = form
+    value, mask = _subset_dp(g, bound, stop, tables)
+    if value <= stop:
         return True, False
     return False, mask == g.vertex_mask()
 
 
-# Conjecture machinery ---------------------------------------------------------
+# Sweep visits ------------------------------------------------------------------
 
-def _conjecture_visit(g: Graph, last: dict,
-                      max_n: int | None = None) -> tuple[bool, str | None]:
-    """(needed B-check, counterexample graph6 or None) for one graph. `last`,
-    a caller-owned dict, keeps each order's last (adjacency, alpha, omega).
-    Both grow vertex by vertex as in _subset_dp (alpha as the complement's
-    omega), from the stored prefix's (_stored_prefix) else from vertex 0.
-    A leaf (order max_n) whose stored prefix has deficit <= 0 is settled
-    at once (module docstring), and nothing is stored: no graph extends it."""
-    n = g.n
-    prev = _stored_prefix(last, g)
-    if prev is not None and n == max_n and n - 1 - prev[1] - prev[2] <= 0:
-        return False, None
-    adj, co = g.adj, complement(g).adj
-    first, alpha, omega = (n - 1, prev[1], prev[2]) if prev is not None else (0, 0, 0)
-    for v in range(first, n):
-        below = (1 << v) - 1
-        alpha = max(alpha, 1 + _clique_bb(co, co[v] & below))
-        omega = max(omega, 1 + _clique_bb(adj, adj[v] & below))
-    last[n] = (adj, alpha, omega)
-    if n - alpha - omega <= 1:
-        return False, None
-    if has_b_copy(g):
-        return True, None
-    return True, emit_graph6(g)
+def _mine_visit(g: Graph, state: dict) -> str | None:
+    """g's line if it is minimal forbidden for the task's class, with a
+    sampled heredity check of its members."""
+    member, minimal = _verdict(state["form"], state["fn"], g, state["tables"])
+    # sampled heredity check: every 128th member of order >= 1, from the
+    # first, stays a member under deletion
+    if member and g.n:
+        state["members"] += 1
+        if state["members"] % 128 == 1 and not state["fn"](delete_vertex(g, 0)):
+            raise AssertionError(f"predicate {state['class']!r} is not hereditary")
+    if not minimal:
+        return None
+    check_canon_order(g.n)  # a certificate is keyed: refuse it before mining on
+    return emit_graph6(g)
+
+
+def _conjecture_visit(g: Graph, state: dict) -> str | None:
+    """g's line if it is a counterexample: deficit >= 2 and no B-copy, each
+    B-check counted in state["bscans"]. A leaf (order state["leaf"]) whose
+    stored prefix has deficit <= 0 is settled at once (module docstring),
+    and nothing is stored: no graph extends it."""
+    n, tables = g.n, state["tables"]
+    if n == state["leaf"]:
+        prev = _stored_prefix(tables, g)
+        if prev is not None and n - 1 - sum(_full_set(prev)) <= 0:
+            return None
+    _subset_dp(g, _sum_bound, None, tables)
+    if n - sum(_full_set(tables[n])) <= 1:
+        return None
+    state["bscans"] += 1
+    return None if has_b_copy(g) else emit_graph6(g)
+
+
+def _threshold_visit(g: Graph, state: dict) -> str | None:
+    """g's line if the three threshold tests disagree on it."""
+    agree = state["fn"](g) == is_threshold_by_obstructions(g) == check_threshold_theorem(g)
+    return None if agree else emit_graph6(g)
+
+
+_VISITS = {"mine": _mine_visit, "conjecture": _conjecture_visit,
+           "threshold": _threshold_visit}
 
 
 # Worker plumbing ---------------------------------------------------------------
 
-def _mine_chunk(class_name: str, graphs: Iterable[Graph],
-                max_n: int | None = None) -> tuple[list[str], int]:
-    """Minimal forbidden graphs among graphs, with a sampled heredity check;
-    max_n is unused."""
-    # fn comes through get_predicate, where a predicate can be substituted;
-    # a substitute without a known class name gets no DP form.
-    fn = get_predicate(class_name).fn
-    form = _resolve(class_name)[1]
-    lines: list[str] = []
-    sampled = False
-    tables: dict = {}  # each order's last DP scan, for graphs extending it
-    for i, g in enumerate(graphs):
-        member, minimal = _verdict(form, fn, g, tables)
-        if member:
-            # sampled heredity check: members stay members under deletion
-            if g.n and (not sampled or (i & 127) == 0):
-                sampled = True
-                if not fn(delete_vertex(g, 0)):
-                    raise AssertionError(f"predicate {class_name!r} is not hereditary")
-        elif minimal:
-            check_canon_order(g.n)  # a certificate is keyed: refuse it before mining on
-            lines.append(emit_graph6(g))
-    return lines, 0
-
-
-def _conjecture_chunk(class_name: str, graphs: Iterable[Graph],
-                      max_n: int | None = None) -> tuple[list[str], int]:
-    """Counterexamples among graphs and the B-scans run, where graphs of
-    order max_n (None: no order) are leaves of the walk; class_name is
-    unused."""
-    lines: list[str] = []
-    bscans = 0
-    last: dict = {}  # each order's last alpha and omega, for graphs extending it
-    for g in graphs:
-        scanned, cex = _conjecture_visit(g, last, max_n)
-        bscans += scanned
-        if cex is not None:
-            lines.append(cex)
-    return lines, bscans
-
-
-def _threshold_chunk(class_name: str, graphs: Iterable[Graph],
-                     max_n: int | None = None) -> tuple[list[str], int]:
-    """Graphs on which the three threshold tests disagree; class_name and
-    max_n are unused."""
-    lines = [emit_graph6(g) for g in graphs
-             if not (is_threshold(g) == is_threshold_by_obstructions(g)
-                     == check_threshold_theorem(g))]
-    return lines, 0
-
-
 def _work(task) -> tuple[dict[int, int], list[str], int]:
-    """Run one task through its chunk function (_mine_chunk,
-    _conjecture_chunk or _threshold_chunk, which return the graph6 lines
-    found in visit order and the B-scans run). A task (chunk, class, root,
-    max_n) visits root and then its subtree down to order max_n, and tells
-    the chunk that its graphs of order max_n are leaves; (chunk, class,
-    graphs, None) visits the listed graphs. Returns (visited by order,
-    lines, bscans).
+    """Run one task (sweep, class, graphs, max_n): hand each graph in turn
+    to the visit _VISITS names for the sweep. With max_n, graphs is a root,
+    visited before its subtree down to the leaves, of order max_n; else a
+    list. The visits share one state: the class's fn (from get_predicate,
+    where a predicate can be substituted), its DP form (from the name
+    alone), the DP tables, the leaf order, the B-check count and the
+    heredity sample's count. Returns (visited by order, lines in visit
+    order, B-checks).
     """
-    chunk, class_name, graphs, max_n = task
+    sweep, class_name, graphs, max_n = task
     if max_n is not None:
         graphs = itertools.chain((graphs,), descendants(graphs, max_n))
+    visit = _VISITS[sweep]
+    state = {"class": class_name, "fn": get_predicate(class_name).fn,
+             "form": _lookup(class_name)[2], "tables": {}, "leaf": max_n,
+             "bscans": 0, "members": 0}
     visited: dict[int, int] = {}
-
-    def counted() -> Iterator[Graph]:
-        for g in graphs:
-            visited[g.n] = visited.get(g.n, 0) + 1
-            yield g
-
-    return (visited, *chunk(class_name, counted(), max_n))
+    lines: list[str] = []
+    for g in graphs:
+        visited[g.n] = visited.get(g.n, 0) + 1
+        line = visit(g, state)
+        if line is not None:
+            lines.append(line)
+    return visited, lines, state["bscans"]
 
 
 def _map_tasks(tasks: list, jobs: int) -> Iterator:
@@ -329,9 +299,10 @@ def _open_journal(path: str, header: dict) -> list[tuple[dict[int, int], list[st
 
 # Sweeps -------------------------------------------------------------------------
 
-def _sweep(chunk, class_name: str, max_n: int, jobs: int,
+def _sweep(sweep: str, class_name: str, max_n: int, jobs: int,
            checkpoint: str | None, source: Iterable[Graph] | None = None):
-    """Visit every graph of order 1..max_n (or of an external stream) once.
+    """Hand every graph of order 1..max_n (or of an external stream) once
+    to the visit of `sweep` (see _work).
 
     An enumerated sweep walks orders 1..s once, visits those below the root
     order s here as one task and roots one task at each order-s graph (see
@@ -367,20 +338,19 @@ def _sweep(chunk, class_name: str, max_n: int, jobs: int,
         big = max((g.n for g in graphs), default=0)
         if big > max_n:
             raise ValueError(f"source graph of order {big} exceeds max_n {max_n}")
-        tasks = [(chunk, class_name, graphs[i : i + _SOURCE_CHUNK], None)
+        tasks = [(sweep, class_name, graphs[i : i + _SOURCE_CHUNK], None)
                  for i in range(0, len(graphs), _SOURCE_CHUNK)]
     else:
         check_order(max_n)
         s = max(1, min(_SPLIT, max_n - 1))
         walk = list(descendants(Graph(0, ()), s))
         head = [g for g in walk if g.n < s]
-        tasks = [(chunk, class_name, root, max_n) for root in walk if root.n == s]
+        tasks = [(sweep, class_name, root, max_n) for root in walk if root.n == s]
         if checkpoint:
-            header = {"task": chunk.__name__, "class": class_name, "level": max_n,
-                      "roots": s, "tasks": len(tasks),
-                      "enumerator": ENUMERATOR_VERSION}
+            header = {"task": sweep, "class": class_name, "level": max_n, "roots": s,
+                      "tasks": len(tasks), "enumerator": ENUMERATOR_VERSION}
             done = _open_journal(checkpoint, header)
-        add(_work((chunk, class_name, head, None)))
+        add(_work((sweep, class_name, head, None)))
     for result in done:
         add(result)
     for result in _map_tasks(tasks[len(done):], jobs):
@@ -425,9 +395,8 @@ def mine_forbidden(class_name: str, max_n: int, *, jobs: int = 1,
     """
     # validate the name before sweeping, and spell it as the results do
     class_name = get_predicate(class_name).name
-    visited_by_order, lines, _ = _sweep(
-        _mine_chunk, class_name, max_n, jobs, checkpoint, source
-    )
+    visited_by_order, lines, _ = _sweep("mine", class_name, max_n, jobs,
+                                        checkpoint, source)
     by_key: dict[bytes, Graph] = {}
     for line in lines:
         g = parse_graph6(line)
@@ -462,9 +431,8 @@ def verify_conjecture(max_n: int = 9, *, jobs: int = 1,
     """Check that every graph up to order max_n avoiding all 24 six-vertex
     obstructions has alpha + omega >= n - 1; reports any counterexamples
     (expected none)."""
-    visited_by_order, bad, scanned = _sweep(
-        _conjecture_chunk, "sum-perfect", max_n, jobs, checkpoint
-    )
+    visited_by_order, bad, scanned = _sweep("conjecture", "sum-perfect", max_n,
+                                            jobs, checkpoint)
     return ConjectureReport(
         max_n=max_n,
         visited_by_order=visited_by_order,
@@ -530,7 +498,7 @@ def verify_threshold_equivalence(max_n: int = 7, *, jobs: int = 1) -> ThresholdR
     """Elimination ordering, {P4,C4,2K2}-freeness, and the all-subgraphs
     alpha + omega = |V| + 1 test must agree on every graph of order 1..max_n;
     checked counts the graphs the sweep visits."""
-    visited_by_order, bad, _ = _sweep(_threshold_chunk, "threshold", max_n, jobs, None)
+    visited_by_order, bad, _ = _sweep("threshold", "threshold", max_n, jobs, None)
     return ThresholdReport(max_n=max_n, checked=sum(visited_by_order.values()),
                            disagreements=bad)
 

@@ -23,6 +23,9 @@ from sumperfect.graphs import (
     path_graph,
 )
 from sumperfect.invariants import (
+    _full_set,
+    _subset_dp,
+    _sum_bound,
     clique_number,
     deficit,
     is_perfect_lovasz,
@@ -71,6 +74,11 @@ def test_minimal_forbidden_examples(c5):
     assert not is_minimal_forbidden(sp, disjoint_union(path_graph(6), complete_graph(1)))
     th = get_predicate("threshold")
     assert is_minimal_forbidden(th, from_edge_list(4, [(0, 1), (2, 3)]))
+    # A custom class has no subset-DP form: its fn decides, on g and each g - v.
+    edgeless = mining.ClassPredicate("edgeless", lambda g: g.edge_count() == 0)
+    assert is_minimal_forbidden(edgeless, complete_graph(2))
+    assert not is_minimal_forbidden(edgeless, path_graph(3))
+    assert not is_minimal_forbidden(edgeless, from_edge_list(3, []))
 
 
 def _verdict_cases(small_corpus):
@@ -92,7 +100,7 @@ def _verdict_cases(small_corpus):
                                   "deficiency:1", "deficiency:2", "threshold"])
 def test_one_pass_verdict_matches_deletion_definition(small_corpus, name):
     fn = get_predicate(name).fn
-    form = mining._resolve(name)[1]
+    form = mining._lookup(name)[2]
     minimal = 0
     for g in _verdict_cases(small_corpus):
         member = fn(g)
@@ -223,7 +231,7 @@ def test_source_stream_resumes_the_dp_only_from_a_true_prefix(name):
     # and (where the level has one) a non-member, whose scans stop at
     # different points; a random relabelling h of g, which enumeration does
     # not produce, follows h's true prefix. Every answer must be
-    # is_minimal_forbidden's, per graph (_mine_chunk's lines keep every
+    # is_minimal_forbidden's, per graph (a task's lines keep every
     # occurrence) and as certificates.
     pred = get_predicate(name)
     rng = random.Random(18)
@@ -245,7 +253,7 @@ def test_source_stream_resumes_the_dp_only_from_a_true_prefix(name):
     assert sum(h not in enumerated for h in stream if h.n == 7) > 1000
     minimal = [g for g in stream if is_minimal_forbidden(pred, g)]
     assert minimal
-    assert mining._mine_chunk(name, stream)[0] == [emit_graph6(g) for g in minimal]
+    assert mining._work(("mine", name, stream, None))[1] == [emit_graph6(g) for g in minimal]
     certificates = mine_forbidden(name, 7, source=stream).certificates
     assert {k for k, _ in certificates} == {canonical_key(g) for g in minimal}
 
@@ -509,6 +517,10 @@ def test_checkpoint_refuses_journal_of_previous_enumerator(tmp_path):
         # over it would never visit the roots of its finished subtrees.
         ({"class": "sum-perfect", "enumerator": 2, "level": 6, "split": 5,
           "task": "_mine_chunk", "tasks": 34}, '[{"6": 1}, [], 0]\n'),
+        # As written when the task field named a chunk function rather than
+        # the sweep.
+        ({"class": "sum-perfect", "enumerator": 2, "level": 6, "roots": 5,
+          "task": "_mine_chunk", "tasks": 34}, '[{"5": 1, "6": 3}, [], 0]\n'),
     ]
     for header, records in old_journals:
         path.write_text(json.dumps(header, sort_keys=True) + "\n" + records)
@@ -537,7 +549,7 @@ def test_mine_source_jobs_agree(tmp_path, monkeypatch):
         assert res.certificates == enumerated.certificates
         assert res.visited == enumerated.visited
         assert res.counts_by_order == enumerated.counts_by_order
-        visited = mining._sweep(mining._mine_chunk, "sum-perfect", 6, jobs, None, gs)[0]
+        visited = mining._sweep("mine", "sum-perfect", 6, jobs, None, gs)[0]
         assert visited == {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
     path = tmp_path / "src.ckpt"
     with pytest.raises(ValueError):
@@ -615,19 +627,28 @@ def test_verify_conjecture_small():
     assert not has_b_copy(cycle_graph(5))
 
 
+def _visit_state() -> dict:
+    """A fresh state for the conjecture visit, as _work builds it for a task
+    without leaves."""
+    return {"tables": {}, "leaf": None, "bscans": 0}
+
+
 def test_conjecture_visit_scans_deficient_graphs():
     # C7 has deficit 2 but contains P6, so the obstruction scan clears it.
-    scanned, cex = mining._conjecture_visit(cycle_graph(7), {})
-    assert scanned and cex is None
-    scanned, cex = mining._conjecture_visit(complete_graph(4), {})
-    assert not scanned and cex is None
+    state = _visit_state()
+    assert mining._conjecture_visit(cycle_graph(7), state) is None
+    assert state["bscans"] == 1
+    assert mining._conjecture_visit(complete_graph(4), state) is None
+    assert state["bscans"] == 1
 
 
 def test_conjecture_visit_grows_alpha_and_omega_without_a_prefix(small_corpus):
     # Every graph with n <= 7 and seeded G(n, p) graphs with n = 8..14, with
     # nothing stored and after an order n - 1 entry that is not g's prefix
     # (its complement's rows, from n = 3 on), whose impossible alpha and
-    # omega would show if the entry were used.
+    # omega (n in every lane) would show if the entry were used. The alpha
+    # and omega read off the stored record are checked against the
+    # branch-and-bound ones, and the record against a fresh scan's.
     graphs = [g for n in range(1, 8) for g in small_corpus[n]]
     rng = random.Random(30)
     for _ in range(300):
@@ -635,26 +656,33 @@ def test_conjecture_visit_grows_alpha_and_omega_without_a_prefix(small_corpus):
         graphs.append(from_edge_list(
             n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]))
     for g in graphs:
-        expect = (g.adj, stability_number(g), clique_number(g))
-        last: dict = {}
-        mining._conjecture_visit(g, last)
-        assert last == {g.n: expect}
+        expect = (stability_number(g), clique_number(g))
+        fresh: dict = {}
+        _subset_dp(g, _sum_bound, None, fresh)
+        state = _visit_state()
+        mining._conjecture_visit(g, state)
+        assert state["tables"] == fresh
+        assert fresh[g.n][0] == g.adj and _full_set(fresh[g.n]) == expect
         if g.n >= 3:
             other = delete_vertex(complement(g), g.n - 1).adj
-            last = {g.n - 1: (other, g.n, g.n)}
-            mining._conjecture_visit(g, last)
-            assert last[g.n] == expect
+            lanes = int.from_bytes(bytes([g.n]) * (1 << (g.n - 1)), "little")
+            state["tables"] = {g.n - 1: (other, lanes, lanes, -1, None)}
+            mining._conjecture_visit(g, state)
+            assert state["tables"][g.n] == fresh[g.n]
+            assert _full_set(state["tables"][g.n]) == expect
 
 
 def test_conjecture_visit_extends_alpha_and_omega_from_the_prefix():
     # Along the enumerated walk each graph of order >= 2 follows its parent,
     # so every alpha and omega past order 1 is extended, not recomputed.
-    last: dict = {}
+    state = _visit_state()
+    tables = state["tables"]
     for g in descendants(Graph(0, ()), 8):
         if g.n > 1:
-            assert last[g.n - 1][0] == delete_vertex(g, g.n - 1).adj
-        mining._conjecture_visit(g, last)
-        assert last[g.n] == (g.adj, stability_number(g), clique_number(g))
+            assert tables[g.n - 1][0] == delete_vertex(g, g.n - 1).adj
+        mining._conjecture_visit(g, state)
+        assert tables[g.n][0] == g.adj
+        assert _full_set(tables[g.n]) == (stability_number(g), clique_number(g))
 
 
 def test_shuffled_graphs_give_the_same_conjecture_chunk(monkeypatch):
@@ -663,9 +691,9 @@ def test_shuffled_graphs_give_the_same_conjecture_chunk(monkeypatch):
     monkeypatch.setattr(mining, "has_b_copy", lambda g: False)
     graphs = list(descendants(Graph(0, ()), 8))
     expect = [emit_graph6(g) for g in graphs if deficit(g) >= 2]
-    assert mining._conjecture_chunk("sum-perfect", graphs) == (expect, 2449)
+    assert mining._work(("conjecture", "sum-perfect", graphs, None))[1:] == (expect, 2449)
     random.Random(8).shuffle(graphs)
-    lines, bscans = mining._conjecture_chunk("sum-perfect", graphs)
+    _, lines, bscans = mining._work(("conjecture", "sum-perfect", graphs, None))
     assert (sorted(lines), bscans) == (sorted(expect), 2449)
 
 
