@@ -10,9 +10,9 @@ smallest over all n! relabellings (it differs on 144 of the 156 graphs of
 order 6), because most relabellings are not leaves of that tree. The tree is
 built from labelling-independent refinement steps, so its set of leaves, and
 hence the key, is an isomorphism invariant: equal keys hold exactly for
-isomorphic graphs. The key bytes depend on `_refine` (which cell comes
-first), so changing the refinement changes the keys, though not which graphs
-share one.
+isomorphic graphs. The key bytes depend on `_root` and `_refine` (which
+cell comes first), so changing the refinement changes the keys, though not
+which graphs share one.
 
 The search never considers all n! permutations: vertices are first partitioned
 by iterated degree refinement, the branch tree individualizes one vertex of
@@ -46,24 +46,16 @@ first canonical vertex lying in the root refinement's first cell, which holds
 vertices of least (degree, sorted neighbour degrees): refinement ranks cells
 by degree, then by that profile, and individualisation keeps their order.
 
-Enumeration may seed `_search` with automorphisms it knows beforehand (twin
-swaps). A seed prunes siblings exactly as a found automorphism does, so the
-argument above holds with the seeds counted among the found ones, and they
-lead the returned list. Order and key do not change: a pruned subtree's
-leaves are images of leaves of an earlier sibling's subtree, so the first
-leaf in depth-first order with the least column tuple, which fixes both,
-is never pruned, with or without seeds.
-
 `_refine` returns a partition as soon as it is discrete: one more pass
 would only confirm it.
 
 There is one labelling path: `canonical_form` checks the n <= CANON_MAX
 envelope (with `check_canon_order`, which mining also calls before it
-keeps a certificate), refines the unit partition into the root colouring
-and hands it to `_search`, unseeded, which packs the key and returns the
-automorphisms. Enumeration calls `_refine` and `_search` itself, so a
-parent or child is searched from its root colouring without refining it
-again. `canonical_labeling` and `canonical_key` are views of
+keeps a certificate), builds the root colouring with `_root` and hands it
+to `_search`, which packs the key and returns the automorphisms.
+Enumeration calls `_root` and `_search` itself, so a parent or child is
+searched from the same root colouring, and how that colouring is formed is
+decided here alone. `canonical_labeling` and `canonical_key` are views of
 `canonical_form`'s result, and `is_isomorphic` compares two keys, so it
 too refuses n > CANON_MAX. `orbit_mins` turns a list of permutations into
 orbits, for the search's sibling pruning and for enumeration.
@@ -128,24 +120,31 @@ def _refine(n: int, adj: tuple[int, ...], colors: list[int]) -> list[int]:
         ncls = len(ids)
 
 
+def _root(n: int, adj: tuple[int, ...], degrees: list[int]) -> list[int]:
+    """The root colouring, the unit partition refined, from the degrees.
+    The first pass over the unit partition gives each vertex the signature
+    (0, (0,) * degree), so its colours are the degree ranks; refining those
+    ranks reaches the same partition with that pass skipped (where the pass
+    ends the refinement, one cell or discrete, one more confirms it)."""
+    rank = {d: i for i, d in enumerate(sorted(set(degrees)))}
+    return _refine(n, adj, [rank[d] for d in degrees])
+
+
 def canonical_form(g: Graph) -> tuple[tuple[int, ...], bytes, list[tuple[int, ...]]]:
     """(order, key, auts): order[i] is the original vertex at canonical
     position i, key the canonical key, and auts non-identity automorphisms
     (aut[v] is the image of v) that generate the whole automorphism group."""
     check_canon_order(g.n)
-    return _search(g, _refine(g.n, g.adj, [0] * g.n))
+    return _search(g, _root(g.n, g.adj, [a.bit_count() for a in g.adj]))
 
 
-def _search(g: Graph, root: list[int],
-            seed=()) -> tuple[tuple[int, ...], bytes, list[tuple[int, ...]]]:
-    """canonical_form(g) searched from root, g's refinement of the unit
-    partition; g must be within the envelope. seed holds automorphisms
-    known beforehand: they prune siblings like found ones and lead the
-    returned list, and change neither the order nor the key."""
+def _search(g: Graph, root: list[int]) -> tuple[tuple[int, ...], bytes, list[tuple[int, ...]]]:
+    """canonical_form(g) searched from root, g's root colouring (`_root`);
+    g must be within the envelope."""
     n, adj = g.n, g.adj
     best_cols: tuple[int, ...] | None = None
     best_order: tuple[int, ...] | None = None
-    auts: list[tuple[int, ...]] = list(seed)
+    auts: list[tuple[int, ...]] = []
 
     def columns(order: tuple[int, ...]) -> tuple[int, ...]:
         cols = []

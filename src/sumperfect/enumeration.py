@@ -6,15 +6,13 @@ with one new vertex. The parent's automorphism group decides which
 neighbourhoods to try: one per orbit of the group on vertex subsets, the
 smallest of each (every subset when the group is trivial), among those of
 at most min degree + 1 vertices, as the new vertex must be degree-minimal.
-The parent's root colouring (canon's refined unit partition, refined here
-from the degree ranks its first pass would make) is computed once. Its
-cells are Aut-invariant, so if each cell is a class of mutual twins (a
-discrete root included), Aut is the product of the cells' symmetric groups
-and the least subset of an orbit holds the lowest k vertices of each cell:
-those are listed directly, with no search. Any other parent is searched
-from that root with its twin swaps seeded as known automorphisms, and the
-orbits come from orbit_mins over the subset images. To level 8, 824 of the
-1,253 parents need no search.
+The parent's root colouring (canon's `_root`) is computed once. Its cells
+are Aut-invariant, so if each cell is a class of mutual twins (a discrete
+root included), Aut is the product of the cells' symmetric groups and the
+least subset of an orbit holds the lowest k vertices of each cell: those
+are listed directly, with no search. Any other parent is searched from
+that root, and the orbits come from orbit_mins over the subset images. To
+level 8, 824 of the 1,253 parents need no search.
 
 A child is kept iff its new vertex is a canonical deletion: it shares an
 orbit of the child's automorphism group with the child's first canonical
@@ -26,9 +24,8 @@ vertex that ties there (a hard tie) is decided, in this order: accepted if
 it is a twin of every tie (swapping twins is an automorphism); rejected if
 it is outside the root refinement's first cell; accepted if it is a twin of
 every other vertex of that cell; otherwise the child is labelled once, from
-that root colouring, with its twin swaps seeded. To level 8 that labels
-1,458 of the 4,223 hard ties. Both sides need the whole automorphism group,
-which `canon` guarantees with or without seeds.
+that root colouring. To level 8 that labels 1,458 of the 4,223 hard ties.
+Both sides need the whole automorphism group, which `canon` guarantees.
 """
 
 from __future__ import annotations
@@ -39,7 +36,7 @@ from typing import Iterator
 # which wraps them for canon.calls.enumeration, canon.s.enumeration,
 # canon.keys_per_child and graphs.calls.enumeration. They feed nothing:
 # children_of labels through _search and calls neither, so those read 0.
-from .canon import _refine, _search, canonical_key, orbit_mins
+from .canon import _root, _search, canonical_key, orbit_mins
 from .graphs import Graph, induced_subgraph, mask_of
 
 ENUM_MAX = 10
@@ -70,13 +67,6 @@ def _twins(rows: tuple[int, ...], a: int, b: int) -> bool:
     return rows[a] & ~(1 << b) == rows[b] & ~(1 << a)
 
 
-def _root(n: int, rows: tuple[int, ...], degrees: list[int]) -> list[int]:
-    """canon's root colouring (the refined unit partition), refined from
-    the degree ranks that its first pass would make."""
-    rank = {d: i for i, d in enumerate(sorted(set(degrees)))}
-    return _refine(n, rows, [rank[d] for d in degrees])
-
-
 def _twin_classes(n: int, rows: tuple[int, ...], colors: list[int]) -> list[list[int]]:
     """Each colour cell split into its classes of mutual twins (being twins
     is an equivalence relation), cells in colour order, classes ascending."""
@@ -91,24 +81,13 @@ def _twin_classes(n: int, rows: tuple[int, ...], colors: list[int]) -> list[list
     return [c for cell in cells for c in cell]
 
 
-def _swaps(n: int, classes: list[list[int]]) -> list[tuple[int, ...]]:
-    """The twin swaps of each class c with its first vertex, as permutations."""
-    out = []
-    for c in classes:
-        for x in c[1:]:
-            perm = list(range(n))
-            perm[c[0]], perm[x] = x, c[0]
-            out.append(tuple(perm))
-    return out
-
-
 def _new_vertex_is_canonical(child: Graph, ties: list[int], degrees: list[int]) -> bool:
     """Whether the child's new (last) vertex v shares an orbit with its first
     canonical vertex, where ties are the other vertices of v's (degree,
     profile) and degrees are the child's. That vertex lies in the root
     refinement's first cell, which lies in {v} + ties; a twin of v shares
-    its orbit. Only a child these tests leave open is labelled, from the
-    same root colouring, with its twin swaps seeded."""
+    its orbit. Only a child these tests leave open is labelled: searched
+    from that root colouring, exactly as canonical_form searches it."""
     n, rows = child.n, child.adj
     v = n - 1
     if all(_twins(rows, v, u) for u in ties):
@@ -118,7 +97,7 @@ def _new_vertex_is_canonical(child: Graph, ties: list[int], degrees: list[int]) 
         return False
     if all(_twins(rows, v, u) for u in ties if root[u] == 0):
         return True
-    order, _, auts = _search(child, root, _swaps(n, _twin_classes(n, rows, root)))
+    order, _, auts = _search(child, root)
     mins = orbit_mins(n, auts)
     return mins[order[0]] == mins[v]
 
@@ -145,13 +124,13 @@ def _neighbourhoods(g: Graph, degrees: list[int], most: int) -> list[int]:
     subsets of at most `most` vertices; degrees are g's. Root cells are
     Aut-invariant, so if each is one twin class (a discrete root included),
     Aut is the product of their symmetric groups and no search is run;
-    otherwise g is searched with its twin swaps seeded."""
+    otherwise g is searched from that root, as canonical_form searches it."""
     n = g.n
     root = _root(n, g.adj, degrees)
     classes = _twin_classes(n, g.adj, root)
     if len(classes) == max(root, default=-1) + 1:
         return _least_subsets(classes, most)
-    auts = _search(g, root, _swaps(n, classes))[2]
+    auts = _search(g, root)[2]
     mins = orbit_mins(1 << n, [_subset_images(a) for a in auts])
     return [s for s, m in enumerate(mins) if s == m and s.bit_count() <= most]
 

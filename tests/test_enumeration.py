@@ -8,7 +8,7 @@ import pytest
 
 import sumperfect.enumeration as enumeration
 from oracles import labeled_graphs
-from sumperfect.canon import _refine, _search, canonical_form, canonical_key, orbit_mins
+from sumperfect.canon import _refine, _root, canonical_form, canonical_key, orbit_mins
 from sumperfect.enumeration import (
     ENUMERATOR_VERSION,
     children_of,
@@ -105,10 +105,10 @@ def test_hard_tie_children_are_labelled_only_when_twins_and_the_root_leave_them_
     # Generating levels <= 8 meets 4,223 children whose new vertex ties in
     # (degree, profile). Twin swaps settle 1,396 of them and the root
     # refinement 1,369 more; the other 1,458 are searched from that root.
-    # Each of the 1,253 parents is refined once, and only the 429 whose root
-    # cells are not all twin classes are searched.
+    # Each of the 1,253 parents gets its root colouring once, and only the
+    # 429 whose root cells are not all twin classes are searched.
     parents = [g for n in range(8) for g in graphs_of_order(n)]
-    calls = {site: {"_refine": 0, "_search": 0} for site in ("parent", "tie")}
+    calls = {site: {"_root": 0, "_search": 0} for site in ("parent", "tie")}
     site = ["parent"]
 
     def counted(name):
@@ -135,8 +135,8 @@ def test_hard_tie_children_are_labelled_only_when_twins_and_the_root_leave_them_
     monkeypatch.setattr(enumeration, "_new_vertex_is_canonical",
                         in_tie(enumeration._new_vertex_is_canonical))
     assert sum(len(children_of(p)) for p in parents) == 13598  # orders 1..8
-    assert calls == {"parent": {"_refine": 1253, "_search": 429},
-                     "tie": {"_refine": 2827, "_search": 1458}}
+    assert calls == {"parent": {"_root": 1253, "_search": 429},
+                     "tie": {"_root": 2827, "_search": 1458}}
 
 
 def _twin_rich_hosts(seed: int, count: int, max_n: int) -> list[Graph]:
@@ -182,8 +182,8 @@ def _orbit_least_subsets(g: Graph, most: int) -> list[int]:
 
 def test_twin_class_neighbourhoods_equal_the_orbit_path():
     # Where every root cell is one twin class, the neighbourhoods are listed
-    # from the classes with no search; elsewhere the search is seeded with
-    # twin swaps. Both must give the orbit_mins path's subsets, at every
+    # from the classes with no search; elsewhere the parent is searched
+    # from its root. Both must give the orbit_mins path's subsets, at every
     # size cap, on every parent of order <= 7 and on twin-rich hosts.
     parents = [g for n in range(8) for g in graphs_of_order(n)]
     hosts = _twin_rich_hosts(32, 120, 10)
@@ -191,7 +191,7 @@ def test_twin_class_neighbourhoods_equal_the_orbit_path():
     symmetric = []
     for g in parents + hosts:
         deg = [r.bit_count() for r in g.adj]
-        root = enumeration._root(g.n, g.adj, deg)
+        root = _root(g.n, g.adj, deg)
         assert root == _refine(g.n, g.adj, [0] * g.n)
         classes = enumeration._twin_classes(g.n, g.adj, root)
         symmetric.append(len(classes) == max(root, default=-1) + 1)
@@ -199,20 +199,6 @@ def test_twin_class_neighbourhoods_equal_the_orbit_path():
             assert enumeration._neighbourhoods(g, deg, most) == _orbit_least_subsets(g, most)
     assert sum(symmetric[:len(parents)]) == 824  # 162 discrete roots, 662 others
     assert 0 < sum(symmetric[len(parents):]) < len(hosts)
-
-
-def test_seeded_search_keeps_the_order_key_and_orbits():
-    # Twin swaps seeded into the search prune only subtrees that hold images
-    # of leaves already visited, so the order and key stay, and the seeds
-    # with the automorphisms found still generate the whole group.
-    for g in [g for n in range(8) for g in graphs_of_order(n)] + _twin_rich_hosts(33, 120, 10):
-        order, key, auts = canonical_form(g)
-        root = _refine(g.n, g.adj, [0] * g.n)
-        seed = enumeration._swaps(g.n, enumeration._twin_classes(g.n, g.adj, root))
-        s_order, s_key, s_auts = _search(g, root, seed)
-        assert (s_order, s_key) == (order, key)
-        assert s_auts[:len(seed)] == seed
-        assert orbit_mins(g.n, s_auts) == orbit_mins(g.n, auts)
 
 
 def test_stream_agrees_with_list():
