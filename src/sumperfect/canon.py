@@ -51,14 +51,15 @@ would only confirm it.
 
 There is one labelling path: `canonical_form` checks the n <= CANON_MAX
 envelope (with `check_canon_order`, which mining also calls before it
-keeps a certificate), builds the root colouring with `_root` and hands it
-to `_search`, which packs the key and returns the automorphisms.
-Enumeration calls `_root` and `_search` itself, so a parent or child is
-searched from the same root colouring, and how that colouring is formed is
-decided here alone. `canonical_labeling` and `canonical_key` are views of
-`canonical_form`'s result, and `is_isomorphic` compares two keys, so it
-too refuses n > CANON_MAX. `orbit_mins` turns a list of permutations into
-orbits, for the search's sibling pruning and for enumeration.
+keeps a certificate) and hands `_root(g)` to `_search`, which packs the
+key and returns the automorphisms. `_cells` turns a colouring into ordered
+cells, for `_search` and for enumeration, which reads a root colouring
+only through it and hands it to `_search` unchanged: how that colouring is
+formed and encoded is decided here alone. `canonical_labeling` and
+`canonical_key` are views of `canonical_form`'s result, and `is_isomorphic`
+compares two keys, so it too refuses n > CANON_MAX. `orbit_mins` turns a
+list of permutations into orbits, for the search's sibling pruning and for
+enumeration.
 """
 
 from __future__ import annotations
@@ -120,14 +121,23 @@ def _refine(n: int, adj: tuple[int, ...], colors: list[int]) -> list[int]:
         ncls = len(ids)
 
 
-def _root(n: int, adj: tuple[int, ...], degrees: list[int]) -> list[int]:
-    """The root colouring, the unit partition refined, from the degrees.
-    The first pass over the unit partition gives each vertex the signature
-    (0, (0,) * degree), so its colours are the degree ranks; refining those
-    ranks reaches the same partition with that pass skipped (where the pass
-    ends the refinement, one cell or discrete, one more confirms it)."""
+def _root(g: Graph) -> list[int]:
+    """g's root colouring, the unit partition refined. The first pass over
+    the unit partition gives each vertex the signature (0, (0,) * degree),
+    so its colours are the degree ranks; refining those ranks reaches the
+    same partition with that pass skipped (where the pass ends the
+    refinement, one cell or discrete, one more confirms it)."""
+    degrees = [a.bit_count() for a in g.adj]
     rank = {d: i for i, d in enumerate(sorted(set(degrees)))}
-    return _refine(n, adj, [rank[d] for d in degrees])
+    return _refine(g.n, g.adj, [rank[d] for d in degrees])
+
+
+def _cells(n: int, colors: list[int]) -> list[list[int]]:
+    """The cells of a colouring of range(n), in colour order, each ascending."""
+    cells: list[list[int]] = [[] for _ in range(max(colors, default=-1) + 1)]
+    for v in range(n):
+        cells[colors[v]].append(v)
+    return cells
 
 
 def canonical_form(g: Graph) -> tuple[tuple[int, ...], bytes, list[tuple[int, ...]]]:
@@ -135,7 +145,7 @@ def canonical_form(g: Graph) -> tuple[tuple[int, ...], bytes, list[tuple[int, ..
     position i, key the canonical key, and auts non-identity automorphisms
     (aut[v] is the image of v) that generate the whole automorphism group."""
     check_canon_order(g.n)
-    return _search(g, _root(g.n, g.adj, [a.bit_count() for a in g.adj]))
+    return _search(g, _root(g))
 
 
 def _search(g: Graph, root: list[int]) -> tuple[tuple[int, ...], bytes, list[tuple[int, ...]]]:
@@ -159,10 +169,7 @@ def _search(g: Graph, root: list[int]) -> tuple[tuple[int, ...], bytes, list[tup
 
     def rec(colors: list[int], path: tuple[int, ...]):
         nonlocal best_cols, best_order
-        ncells = max(colors, default=-1) + 1
-        cells: list[list[int]] = [[] for _ in range(ncells)]
-        for v in range(n):
-            cells[colors[v]].append(v)
+        cells = _cells(n, colors)
         target = next((cell for cell in cells if len(cell) > 1), None)
 
         if target is None:

@@ -6,12 +6,12 @@ with one new vertex. The parent's automorphism group decides which
 neighbourhoods to try: one per orbit of the group on vertex subsets, the
 smallest of each (every subset when the group is trivial), among those of
 at most min degree + 1 vertices, as the new vertex must be degree-minimal.
-The parent's root colouring (canon's `_root`) is computed once. Its cells
-are Aut-invariant, so if each cell is a class of mutual twins (a discrete
-root included), Aut is the product of the cells' symmetric groups and the
-least subset of an orbit holds the lowest k vertices of each cell: those
-are listed directly, with no search. Any other parent is searched from
-that root, and the orbits come from orbit_mins over the subset images. To
+The parent's root colouring (canon's `_root`) is computed once and read
+only through canon's `_cells`, which are Aut-invariant: if each cell is a
+class of mutual twins, Aut is the product of the cells' symmetric groups
+and the least subset of an orbit holds the lowest k vertices of each cell,
+listed directly with no search. Any other parent is searched from that
+root, and the orbits come from orbit_mins over the subset images. To
 level 8, 824 of the 1,253 parents need no search.
 
 A child is kept iff its new vertex is a canonical deletion: it shares an
@@ -22,10 +22,10 @@ profile), so a new vertex outside those is rejected, and one alone among
 them accepted, by the degree and profile tests with no labelling. A new
 vertex that ties there (a hard tie) is decided, in this order: accepted if
 it is a twin of every tie (swapping twins is an automorphism); rejected if
-it is outside the root refinement's first cell; accepted if it is a twin of
-every other vertex of that cell; otherwise the child is labelled once, from
-that root colouring. To level 8 that labels 1,458 of the 4,223 hard ties.
-Both sides need the whole automorphism group, which `canon` guarantees.
+it is outside the first of the root's `_cells`; accepted if it is a twin
+of every other vertex of that cell; otherwise the child is labelled once,
+from that root. To level 8 that labels 1,458 of the 4,223 hard ties. Both
+sides need the whole automorphism group, which `canon` guarantees.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Iterator
 # which wraps them for canon.calls.enumeration, canon.s.enumeration,
 # canon.keys_per_child and graphs.calls.enumeration. They feed nothing:
 # children_of labels through _search and calls neither, so those read 0.
-from .canon import _root, _search, canonical_key, orbit_mins
+from .canon import _cells, _root, _search, canonical_key, orbit_mins
 from .graphs import Graph, induced_subgraph, mask_of
 
 ENUM_MAX = 10
@@ -67,47 +67,34 @@ def _twins(rows: tuple[int, ...], a: int, b: int) -> bool:
     return rows[a] & ~(1 << b) == rows[b] & ~(1 << a)
 
 
-def _twin_classes(n: int, rows: tuple[int, ...], colors: list[int]) -> list[list[int]]:
-    """Each colour cell split into its classes of mutual twins (being twins
-    is an equivalence relation), cells in colour order, classes ascending."""
-    cells: list[list[list[int]]] = [[] for _ in range(max(colors, default=-1) + 1)]
-    for v in range(n):
-        cell = cells[colors[v]]
-        twin = next((c for c in cell if _twins(rows, c[0], v)), None)
-        if twin is None:
-            cell.append([v])
-        else:
-            twin.append(v)
-    return [c for cell in cells for c in cell]
-
-
-def _new_vertex_is_canonical(child: Graph, ties: list[int], degrees: list[int]) -> bool:
+def _new_vertex_is_canonical(child: Graph, ties: list[int]) -> bool:
     """Whether the child's new (last) vertex v shares an orbit with its first
     canonical vertex, where ties are the other vertices of v's (degree,
-    profile) and degrees are the child's. That vertex lies in the root
-    refinement's first cell, which lies in {v} + ties; a twin of v shares
-    its orbit. Only a child these tests leave open is labelled: searched
-    from that root colouring, exactly as canonical_form searches it."""
+    profile). A twin of v shares its orbit. That vertex lies in the first of
+    the root colouring's `_cells`, which lies in {v} + ties and, v being the
+    highest vertex, ends with v if it holds v. Only a child left open is
+    labelled: searched from that root, exactly as canonical_form searches it."""
     n, rows = child.n, child.adj
     v = n - 1
     if all(_twins(rows, v, u) for u in ties):
         return True
-    root = _root(n, rows, degrees)
-    if root[v]:
+    root = _root(child)
+    first = _cells(n, root)[0]
+    if v not in first:
         return False
-    if all(_twins(rows, v, u) for u in ties if root[u] == 0):
+    if all(_twins(rows, v, u) for u in first[:-1]):
         return True
     order, _, auts = _search(child, root)
     mins = orbit_mins(n, auts)
     return mins[order[0]] == mins[v]
 
 
-def _least_subsets(classes: list[list[int]], most: int) -> list[int]:
+def _least_subsets(cells: list[list[int]], most: int) -> list[int]:
     """Ascending, the subsets of at most `most` vertices that hold the
-    lowest k vertices of each class, for every k: the least subset of each
-    orbit of the product of the classes' symmetric groups."""
+    lowest k vertices of each cell, for every k: the least subset of each
+    orbit of the product of the cells' symmetric groups."""
     masks = [0]
-    for c in classes:
+    for c in cells:
         grown = []
         for m in masks:
             grown.append(m)
@@ -119,17 +106,18 @@ def _least_subsets(classes: list[list[int]], most: int) -> list[int]:
     return masks
 
 
-def _neighbourhoods(g: Graph, degrees: list[int], most: int) -> list[int]:
+def _neighbourhoods(g: Graph, most: int) -> list[int]:
     """Ascending, the least subset of each orbit of Aut(g) on the vertex
-    subsets of at most `most` vertices; degrees are g's. Root cells are
-    Aut-invariant, so if each is one twin class (a discrete root included),
-    Aut is the product of their symmetric groups and no search is run;
-    otherwise g is searched from that root, as canonical_form searches it."""
-    n = g.n
-    root = _root(n, g.adj, degrees)
-    classes = _twin_classes(n, g.adj, root)
-    if len(classes) == max(root, default=-1) + 1:
-        return _least_subsets(classes, most)
+    subsets of at most `most` vertices. The root colouring's `_cells` are
+    Aut-invariant, so if each holds only twins of its first vertex (one twin
+    class, as being twins is an equivalence relation), Aut is the product of
+    their symmetric groups and no search is run; otherwise g is searched
+    from that root, as canonical_form searches it."""
+    n, rows = g.n, g.adj
+    root = _root(g)
+    cells = _cells(n, root)
+    if all(_twins(rows, c[0], u) for c in cells for u in c[1:]):
+        return _least_subsets(cells, most)
     auts = _search(g, root)[2]
     mins = orbit_mins(1 << n, [_subset_images(a) for a in auts])
     return [s for s, m in enumerate(mins) if s == m and s.bit_count() <= most]
@@ -158,7 +146,7 @@ def children_of(parent: Graph) -> list[Graph]:
     # The new vertex must be degree-minimal in the child, so it has at most
     # min_pdeg + 1 neighbours. Past the test below every child degree
     # pdeg[u] + [u in nb] is at least dv.
-    for nb in _neighbourhoods(parent, pdeg, min_pdeg + 1):
+    for nb in _neighbourhoods(parent, min_pdeg + 1):
         dv = nb.bit_count()
         if dv == min_pdeg + 1 and (min_verts & ~nb):
             continue
@@ -188,7 +176,7 @@ def children_of(parent: Graph) -> list[Graph]:
                     break
                 if pu == pv:
                     ties.append(u)
-            if reject or (ties and not _new_vertex_is_canonical(child, ties, cd)):
+            if reject or (ties and not _new_vertex_is_canonical(child, ties)):
                 continue
         out.append(child)
 

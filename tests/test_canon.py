@@ -249,17 +249,18 @@ def test_canonical_order_starts_in_the_least_degree_profile_cell():
     # Enumeration's acceptance rule reads the child's first canonical vertex
     # as one of least (degree, sorted neighbour degrees); its profile test
     # rejects every other child. The root colouring, built from the degree
-    # ranks, is the refined unit partition on every graph pinned.
+    # ranks, is the refined unit partition on every graph pinned; `first`
+    # is the cell enumeration's hard-tie gate reads.
     for g in _pin_corpus():
         deg = [a.bit_count() for a in g.adj]
         colors = canon._refine(g.n, g.adj, [0] * g.n)
-        assert canon._root(g.n, g.adj, deg) == colors
+        assert canon._root(g) == colors
         if g.n == 0:
             continue
         profile = [
             (deg[v], sorted(deg[u] for u in range(g.n) if g.has_edge(u, v)))
             for v in range(g.n)
         ]
-        first = [v for v in range(g.n) if colors[v] == 0]
+        first = canon._cells(g.n, colors)[0]
         assert canonical_form(g)[0][0] in first
         assert all(profile[v] == min(profile) for v in first)

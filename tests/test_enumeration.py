@@ -8,7 +8,7 @@ import pytest
 
 import sumperfect.enumeration as enumeration
 from oracles import labeled_graphs
-from sumperfect.canon import _refine, _root, canonical_form, canonical_key, orbit_mins
+from sumperfect.canon import _cells, _refine, _root, canonical_form, canonical_key, orbit_mins
 from sumperfect.enumeration import (
     ENUMERATOR_VERSION,
     children_of,
@@ -190,13 +190,12 @@ def test_twin_class_neighbourhoods_equal_the_orbit_path():
     assert max(g.n for g in hosts) == 10
     symmetric = []
     for g in parents + hosts:
-        deg = [r.bit_count() for r in g.adj]
-        root = _root(g.n, g.adj, deg)
+        root = _root(g)
         assert root == _refine(g.n, g.adj, [0] * g.n)
-        classes = enumeration._twin_classes(g.n, g.adj, root)
-        symmetric.append(len(classes) == max(root, default=-1) + 1)
-        for most in sorted({g.n, min(deg, default=0) + 1}):
-            assert enumeration._neighbourhoods(g, deg, most) == _orbit_least_subsets(g, most)
+        cells = _cells(g.n, root)
+        symmetric.append(all(enumeration._twins(g.adj, c[0], u) for c in cells for u in c[1:]))
+        for most in sorted({g.n, min((r.bit_count() for r in g.adj), default=0) + 1}):
+            assert enumeration._neighbourhoods(g, most) == _orbit_least_subsets(g, most)
     assert sum(symmetric[:len(parents)]) == 824  # 162 discrete roots, 662 others
     assert 0 < sum(symmetric[len(parents):]) < len(hosts)
 
