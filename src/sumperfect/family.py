@@ -110,6 +110,11 @@ def build_family() -> ForbiddenFamily:
     return ForbiddenFamily(tuple(members))
 
 
+@lru_cache(maxsize=1)
+def _family_patterns() -> PatternSet:
+    return PatternSet([(m, m.graph) for m in build_family()])
+
+
 def build_conjecture_family() -> tuple[FamilyMember, ...]:
     """Members 2..25: the family minus the 5-cycle and the two 7-vertex graphs."""
     return build_family().members[1:25]
@@ -217,10 +222,9 @@ def verify_family() -> FamilyReport:
     # A same-order copy of a member is the member itself, and larger members
     # cannot embed, so minimal iff each member holds only its own copy. An
     # isomorphic twin holds its twin's copy, and the index refuses twins.
-    minimal = distinct
-    if distinct:
-        patterns = PatternSet([(m.index, m.graph) for m in fam])
-        minimal = all([h.label for h in patterns.scan(m.graph)] == [m.index] for m in fam)
+    minimal = distinct and all(
+        [h.label.index for h in _family_patterns().scan(m.graph)] == [m.index] for m in fam
+    )
 
     return FamilyReport(
         member_checks=tuple(checks),
@@ -229,16 +233,3 @@ def verify_family() -> FamilyReport:
         minimal_as_set=minimal,
         disconnected_match=disconnected,
     )
-
-
-__all__ = [
-    "FamilyMember",
-    "ForbiddenFamily",
-    "FamilyReport",
-    "MemberChecks",
-    "DISCONNECTED_INDICES",
-    "build_family",
-    "build_conjecture_family",
-    "enumerate_bipartite_pm6",
-    "verify_family",
-]

@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import islice
 
-from .family import build_family
+from .family import _family_patterns
 from .graphs import (
     Graph,
     cycle_graph,
@@ -31,11 +31,6 @@ from .invariants import (
     max_stable_set,
     validate_pair,
 )
-
-
-@lru_cache(maxsize=1)
-def _family_patterns() -> PatternSet:
-    return PatternSet([(m, m.graph) for m in build_family()])
 
 
 def find_forbidden_copies(g: Graph, limit: int | None = 1) -> list[PatternHit]:

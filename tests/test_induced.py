@@ -174,7 +174,7 @@ def test_full_scan_of_split_host_builds_few_graphs(monkeypatch):
     # A split graph is sum-perfect, so the scan finds nothing; the search
     # should rule out nearly every subset before building a Graph for it.
     from sumperfect import induced
-    from sumperfect.recognition import _family_patterns
+    from sumperfect.family import _family_patterns
 
     rng = random.Random(20)
     n = 20

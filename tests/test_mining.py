@@ -7,8 +7,8 @@ import random
 import pytest
 
 import sumperfect.mining as mining
-from sumperfect.canon import canonical_key
-from sumperfect.enumeration import ENUM_MAX, descendants, graphs_of_order
+from sumperfect.canon import CANON_MAX, canonical_key
+from sumperfect.enumeration import ENUM_MAX, children_of, descendants, graphs_of_order
 from sumperfect.family import build_family, has_b_copy
 from sumperfect.graph6 import emit_graph6, parse_graph6
 from sumperfect.graphs import (
@@ -182,7 +182,8 @@ def test_mined_certificates_to_8_are_pinned_by_canonical_key():
         assert hashlib.sha256(b"".join(keys)).hexdigest() == digest, name
 
 
-@pytest.mark.parametrize("member, counts", [
+# Hereditary classes with their sizes at orders 1..8.
+CLASSES = [
     pytest.param(is_perfect_lovasz, [1, 2, 4, 11, 33, 148, 906, 8887], id="perfect-A052431"),
     pytest.param(
         lambda g: is_split(g) is not None, [1, 2, 4, 9, 21, 56, 164, 557], id="split-A048194"
@@ -194,13 +195,68 @@ def test_mined_certificates_to_8_are_pinned_by_canonical_key():
     pytest.param(
         lambda g: not has_b_copy(g), [1, 2, 4, 11, 34, 132, 580, 2715], id="B-free"
     ),
-])
+]
+
+
+@pytest.mark.parametrize("member, counts", CLASSES)
 def test_class_sizes_by_order(member, counts):
     # Members of each full level n = 1, 2, ...; perfect and split are OEIS
     # sequences, so these gate the predicates from outside the repo, and a
     # walk that prunes by class must keep them.
     found = [sum(1 for g in graphs_of_order(n) if member(g)) for n in range(1, len(counts) + 1)]
     assert found == counts
+
+
+def _class_walk(member, max_n: int) -> list[Graph]:
+    """The generation tree walked depth-first to order max_n, each kept child
+    followed by its subtree, descending only into members of the class. A
+    hereditary class loses no member: a member's parent is one of its
+    vertex-deleted subgraphs, so a member too."""
+    def walk(parent: Graph):
+        if parent.n < max_n:
+            for child in children_of(parent):
+                if member(child):
+                    yield child
+                    yield from walk(child)
+
+    return list(walk(Graph(0, ())))
+
+
+@pytest.mark.parametrize("member, counts", CLASSES)
+def test_class_walk_keeps_the_filtered_levels(member, counts):
+    # Same graphs, same order, same labelling as filtering each full level.
+    kept = _class_walk(member, 7)
+    for n in range(1, 8):
+        assert [g for g in kept if g.n == n] == [g for g in graphs_of_order(n) if member(g)]
+
+
+def test_threshold_walk_past_the_full_levels():
+    kept = _class_walk(is_threshold, CANON_MAX)
+    assert [sum(1 for g in kept if g.n == n) for n in range(1, CANON_MAX + 1)] == [
+        2 ** (n - 1) for n in range(1, CANON_MAX + 1)
+    ]
+
+
+def _p4_free(g: Graph) -> bool:
+    """No induced path a-b-c-d: for each edge bc, no a in N(b) - N[c] misses
+    some d in N(c) - N[b]."""
+    adj = g.adj
+    for b in range(g.n):
+        for c in range(g.n):
+            if adj[b] >> c & 1:
+                ends = adj[c] & ~adj[b] & ~(1 << b)
+                starts = adj[b] & ~adj[c] & ~(1 << c)
+                if any(starts >> a & 1 and ends & ~adj[a] for a in range(g.n)):
+                    return False
+    return True
+
+
+def test_cograph_walk_past_the_full_levels():
+    # Cographs are the P4-free graphs; OEIS A000084.
+    kept = _class_walk(_p4_free, 10)
+    assert [sum(1 for g in kept if g.n == n) for n in range(1, 11)] == [
+        1, 2, 4, 10, 24, 66, 180, 522, 1532, 4624
+    ]
 
 
 def test_deficiency_certificates_have_exact_excess():
@@ -448,11 +504,17 @@ def test_checkpoint_refuses_non_ascii_order_keys(tmp_path):
     lambda r: r[0].update({"7": 0}),
     lambda r: r.__setitem__(2, -40),
     lambda r: r.__setitem__(2, sum(r[0].values()) + 1),  # more scans than graphs
+    lambda r: r.append(0),
+    lambda r: r.clear(),
+    lambda r: r[1].append(5),  # a line that is not a string
+    lambda r: r.__setitem__(0, []),  # counts that are not a dict
 ], ids=["below-roots", "above-level", "root-0", "root-2", "no-root", "06",
-        "count-0", "bscans-negative", "bscans-above-visited"])
+        "count-0", "bscans-negative", "bscans-above-visited",
+        "four-fields", "no-fields", "line-not-str", "counts-not-dict"])
 def test_checkpoint_refuses_records_outside_the_sweep(tmp_path, edit):
-    # Each record is well typed, but no subtree of this sweep can give it;
-    # resumed, it would change the counts and still report PASS.
+    # Each record is JSON, but no subtree of this sweep can give it. The
+    # last four break the record's shape. The others are well typed:
+    # resumed, they would change the counts and still report PASS.
     path = tmp_path / "conj.ckpt"
     verify_conjecture(7, checkpoint=str(path), jobs=1)
     header, first, *rest = path.read_text().splitlines(keepends=True)
